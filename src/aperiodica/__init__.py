@@ -20,6 +20,7 @@ from .words import (
 from .substitution import (
     Atlas,
     FixedPointStream,
+    NotPrimitiveError,
     PrefixLimitError,
     SubstitutionRule,
     apply,
@@ -29,7 +30,6 @@ from .substitution import (
     complexity,
     compose,
     fibonacci_rule,
-    fixed_point_stream,
     induced_substitute,
     is_primitive,
     matrix,

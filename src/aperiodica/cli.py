@@ -50,15 +50,6 @@ def _load_rule(path):
     return substitution.rule_from_dict(data)
 
 
-def _require_primitive(rule):
-    if substitution.is_primitive(substitution.matrix(rule)) is not None:
-        return None
-    return (
-        "rule is not primitive: no power up to the Wielandt bound "
-        f"{substitution.primitivity_bound(rule)} of the substitution matrix is strictly positive"
-    )
-
-
 def _max_prefix():
     raw = os.environ.get("APERIODICA_MAX_PREFIX")
     return int(raw) if raw else None
@@ -74,10 +65,6 @@ def _atlas_payload(alphabet, atlas):
 
 def cmd_atlas(args):
     rule, seed = _load_rule(args.rule)
-    problem = _require_primitive(rule)
-    if problem:
-        print(problem, file=sys.stderr)
-        return 1
     by_induction = by_window = None
     if args.method in ("induction", "both"):
         by_induction = substitution.atlas_by_induction(rule, args.n, seed)
@@ -102,10 +89,6 @@ def _verdict_payload(verdict):
 
 def cmd_exclude(args):
     rule, seed = _load_rule(args.rule)
-    problem = _require_primitive(rule)
-    if problem:
-        print(problem, file=sys.stderr)
-        return 1
     if args.phi and rule.alphabet.symbols != ("a", "b", "c", "d"):
         raise ValueError("--phi needs the four-letter alphabet a, b, c, d")
     chain = substitution.atlas_chain(rule, args.nmax, seed)
@@ -131,7 +114,7 @@ def cmd_rs_table(args):
     if args.format == "tsv":
         text = _table_tsv(rows)
     else:
-        verdict4, verdict2 = rudin_shapiro.palindrome_verdicts(args.nmax)
+        verdict4, verdict2 = rows.verdicts
         text = _json_text(
             {
                 "rows": [
@@ -271,10 +254,7 @@ def _parse_values(text, alphabet):
 def cmd_spectrum(args):
     if args.rule:
         rule, seed = _load_rule(args.rule)
-        problem = _require_primitive(rule)
-        if problem:
-            print(problem, file=sys.stderr)
-            return 1
+        substitution.require_primitive(rule)
         if not args.values:
             raise ValueError("--values is required together with --rule")
         mapping = _parse_values(args.values, rule.alphabet)
@@ -367,6 +347,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except substitution.NotPrimitiveError as exc:
+        print(exc, file=sys.stderr)
+        return 1
     except (
         OSError,
         json.JSONDecodeError,

@@ -174,13 +174,9 @@ class FieldElement:
         return self.q == 0
 
     def floor(self):
-        """Exact integer floor; a float estimate is corrected by exact checks."""
-        k = math.floor(float(self))
-        while self < k:
-            k -= 1
-        while not self < k + 1:
-            k += 1
-        return k
+        """Exact integer floor, over the common denominator of p and q."""
+        scale = math.lcm(self.p.denominator, self.q.denominator)
+        return _floor_scaled(int(self.p * scale), int(self.q * scale), scale, self.d)
 
     def ceil(self):
         return -((-self).floor())

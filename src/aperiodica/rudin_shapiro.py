@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .substitution import Atlas, FixedPointStream, SubstitutionRule, atlas_chain
-from .words import Alphabet, exclusion_verdict, is_palindrome
+from .words import Alphabet, exclusion_verdict
 
 BINARY_ALPHABET = Alphabet(("0", "1"))
 QUATERNARY_ALPHABET = Alphabet("abcd")
@@ -86,44 +86,40 @@ class Table1Row:
     pal2: str
 
 
-def _statuses(has_pal):
-    """Per-length yes/no/blank, blanking rows past the first excluding pair."""
-    n_max = len(has_pal)
-    pair = None
-    for n in range(1, n_max):
-        if not has_pal[n - 1] and not has_pal[n]:
-            pair = n
-            break
-    out = []
-    for n in range(1, n_max + 1):
-        if pair is not None and n > pair + 1:
-            out.append(BLANK)
-        else:
-            out.append(YES if has_pal[n - 1] else NO)
-    return out
+class Table1(list):
+    """The rows of Table 1, plus the exclusion verdicts (quaternary,
+    binary) that their status columns are read from."""
+
+    def __init__(self, rows, verdicts):
+        super().__init__(rows)
+        self.verdicts = verdicts
+
+
+def _status(verdict, n):
+    """yes/no for length n, blank past the row after the excluding pair."""
+    pair = verdict.first_excluding_pair
+    if pair is not None and n > pair + 1:
+        return BLANK
+    return YES if n in verdict.lengths_with_palindromes else NO
 
 
 def table1(n_max=20):
     """Factor counts and palindrome statuses for lengths 1..n_max."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    chain = atlas_chain(_RULE, n_max)
-    quaternary = [a.words for a in chain]
-    binary = [frozenset(phi(w) for w in words) for words in quaternary]
-    pal4 = _statuses([any(is_palindrome(w) for w in words) for words in quaternary])
-    pal2 = _statuses([any(is_palindrome(w) for w in words) for words in binary])
-    return [
-        Table1Row(n, len(quaternary[n - 1]), pal4[n - 1], len(binary[n - 1]), pal2[n - 1])
+    quaternary = {a.length: a.words for a in atlas_chain(_RULE, n_max)}
+    binary = {n: frozenset(phi(w) for w in words) for n, words in quaternary.items()}
+    v4, v2 = exclusion_verdict(quaternary), exclusion_verdict(binary)
+    rows = [
+        Table1Row(n, len(quaternary[n]), _status(v4, n), len(binary[n]), _status(v2, n))
         for n in range(1, n_max + 1)
     ]
+    return Table1(rows, (v4, v2))
 
 
 def palindrome_verdicts(n_max=20):
     """Exclusion verdicts (quaternary, binary) from atlases up to n_max."""
-    chain = atlas_chain(_RULE, n_max)
-    quaternary = {a.length: a.words for a in chain}
-    binary = {a.length: frozenset(phi(w) for w in a.words) for a in chain}
-    return exclusion_verdict(quaternary), exclusion_verdict(binary)
+    return table1(n_max).verdicts
 
 
 def golden_table1():

@@ -28,6 +28,8 @@ class TridiagonalOperator:
         object.__setattr__(self, "diagonal", tuple(float(v) for v in self.diagonal))
         if not self.diagonal:
             raise ValueError("operator needs size >= 1")
+        if not all(math.isfinite(v) for v in self.diagonal):
+            raise ValueError("diagonal entries must be finite")
 
     @property
     def size(self):
@@ -86,21 +88,27 @@ def _bounds(op):
 
 
 def eigenvalues(op, tol=1e-12):
-    """All eigenvalues, ascending, each bracketed to width <= tol by bisection."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    """All eigenvalues, ascending, each bracketed to width <= tol by bisection.
+
+    A bracket that narrows to adjacent floats stops there, however small
+    ``tol`` is.
+    """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tolerance must be positive and finite")
     lo, hi = _bounds(op)
     out = []
     a_floor = lo
     for k in range(op.size):
         a, b = a_floor, hi
         while b - a > tol:
-            mid = 0.5 * (a + b)
+            mid = 0.5 * a + 0.5 * b  # halves first: the sum may overflow
+            if mid == a or mid == b:
+                break
             if sturm_count(op, mid) <= k:
                 a = mid
             else:
                 b = mid
-        out.append(0.5 * (a + b))
+        out.append(0.5 * a + 0.5 * b)
         a_floor = a
     return out
 

@@ -1,15 +1,14 @@
 """Primitive substitution rules, fixed points and factor atlases.
 
-The two atlas constructions, one through the substitution induced on
-length-N windows and one through plain factor collection on a growing
-fixed-point prefix, are independent routes to the same set and are
+The two atlas constructions, one closing a single legal word under the
+substitution induced on length-N windows and one collecting the factors
+of a growing fixed-point prefix, are two routes to the same set and are
 cross-checked in the test suite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 from .words import Alphabet
 
@@ -17,7 +16,11 @@ DEFAULT_MAX_PREFIX = 1 << 20
 
 
 class PrefixLimitError(RuntimeError):
-    """Window-method factor collection hit the prefix cap before stabilizing."""
+    """Window-method factor collection hit the prefix cap before closing."""
+
+
+class NotPrimitiveError(ValueError):
+    """The substitution matrix has no strictly positive power."""
 
 
 @dataclass(frozen=True)
@@ -145,9 +148,14 @@ def is_primitive(m):
     return None
 
 
-def primitivity_bound(rule):
-    r = len(rule.alphabet)
-    return r * r - 2 * r + 2
+def require_primitive(rule):
+    """Raise :class:`NotPrimitiveError` unless the rule's matrix is primitive."""
+    if is_primitive(matrix(rule)) is None:
+        r = len(rule.alphabet)
+        raise NotPrimitiveError(
+            f"rule is not primitive: no power up to the Wielandt bound {r * r - 2 * r + 2} "
+            "of the substitution matrix is strictly positive"
+        )
 
 
 def _image_lengths_after(rule, k):
@@ -185,20 +193,13 @@ class FixedPointStream:
     substituting one already-known letter at a time.
     """
 
-    def __init__(self, rule, seed=None, power=None):
-        if power is None:
-            seed, power = resolve_seed_and_power(rule, seed)
-        else:
-            want, _ = resolve_seed_and_power(rule, seed)
-            seed = want if seed is None else seed
+    def __init__(self, rule, seed=None):
+        seed, power = resolve_seed_and_power(rule, seed)
         self.rule = rule
         self.seed = seed
-        self.power = power
         images = [(a,) for a in range(len(rule.alphabet))]
         for _ in range(power):
             images = [apply(rule, w) for w in images]
-        if images[seed][0] != seed or len(images[seed]) < 2:
-            raise ValueError("seed/power pair does not generate a growing fixed point")
         self._images = images
         self._buf = list(images[seed])
         self._next = 1
@@ -211,10 +212,6 @@ class FixedPointStream:
             buf.extend(images[buf[self._next]])
             self._next += 1
         return tuple(buf[:n])
-
-
-def fixed_point_stream(rule, seed=None, power=None):
-    return FixedPointStream(rule, seed=seed, power=power)
 
 
 def induced_substitute(rule, w):
@@ -238,7 +235,6 @@ class Atlas:
 
     length: int
     words: frozenset
-    iterations: object = field(default=None, compare=False, repr=False)
 
     def __len__(self):
         return len(self.words)
@@ -247,64 +243,40 @@ class Atlas:
         return sorted(self.words)
 
 
-def _reachable_letters(rule, seed):
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        a = frontier.pop()
-        for b in rule.images[a]:
-            if b not in seen:
-                seen.add(b)
-                frontier.append(b)
-    return frozenset(seen)
+def _closure(rule, stream, n):
+    """Closure of the fixed point's length-n prefix under the induced map.
 
-
-def _require_primitive(rule):
-    if is_primitive(matrix(rule)) is None:
-        raise ValueError(
-            f"rule is not primitive: no matrix power up to {primitivity_bound(rule)} is strictly positive"
-        )
-
-
-def _induction_step(rule, prev, n):
-    """Stable set of the window map, started from all one-letter right
-    extensions of the previous atlas."""
-    r = len(rule.alphabet)
-    current = {w + (a,) for w in prev.words for a in range(r)}
-    limit = len(current)
-    iterations = 0
-    while True:
-        nxt = set()
-        for w in current:
-            nxt.update(induced_substitute(rule, w))
-        iterations += 1
-        if nxt == current:
-            return Atlas(n, frozenset(current), iterations)
-        if iterations > limit:
-            raise RuntimeError("window-map iteration failed to stabilize; this is a bug")
-        current = nxt
-
-
-@lru_cache(maxsize=None)
-def _atlas_chain(rule, n_max, seed):
-    s, _ = resolve_seed_and_power(rule, seed)
-    chain = [Atlas(1, frozenset((a,) for a in _reachable_letters(rule, s)))]
-    for n in range(2, n_max + 1):
-        chain.append(_induction_step(rule, chain[-1], n))
-    return tuple(chain)
+    Applied k times to a legal word w, the induced map yields every
+    length-n window of sigma^k(w) that starts inside sigma^k(w[0]); for a
+    primitive rule and large k that stretch holds every legal word, so
+    the closure is the whole length-n language.
+    """
+    start = stream.prefix(n)
+    words = {start}
+    todo = [start]
+    while todo:
+        for v in induced_substitute(rule, todo.pop()):
+            if v not in words:
+                words.add(v)
+                todo.append(v)
+    return Atlas(n, frozenset(words))
 
 
 def atlas_chain(rule, n_max, seed=None):
     """Atlases for every length 1..n_max (index 0 holds length 1)."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    _require_primitive(rule)
-    return list(_atlas_chain(rule, n_max, seed))
+    require_primitive(rule)
+    stream = FixedPointStream(rule, seed)
+    return [_closure(rule, stream, n) for n in range(1, n_max + 1)]
 
 
 def atlas_by_induction(rule, n, seed=None):
-    """Length-n atlas via the induced-substitution stable set."""
-    return atlas_chain(rule, n, seed)[-1]
+    """Length-n atlas as the closure of one legal word under the induced map."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    require_primitive(rule)
+    return _closure(rule, FixedPointStream(rule, seed), n)
 
 
 def _ngrams(word, n):
@@ -314,28 +286,28 @@ def _ngrams(word, n):
 def atlas_by_window(rule, n, seed=None, max_prefix=None):
     """Length-n atlas by collecting factors of a growing fixed-point prefix.
 
-    The prefix doubles until one full doubling adds no new factor; the
-    self-validating stop replaces any a-priori repetitivity constant.
+    The prefix doubles until its factor set is closed under the induced
+    map.  A nonempty closed set of legal words holds the closure of each
+    of its members, which is the whole language, so the stop is exact
+    and needs no a-priori repetitivity constant.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    _require_primitive(rule)
+    require_primitive(rule)
     cap = DEFAULT_MAX_PREFIX if max_prefix is None else max_prefix
     stream = FixedPointStream(rule, seed)
     length = max(64, 4 * n)
     if length > cap:
         raise PrefixLimitError(f"prefix cap {cap} is below the starting length {length}")
-    factors = _ngrams(stream.prefix(length), n)
     while True:
+        factors = _ngrams(stream.prefix(length), n)
+        if all(v in factors for w in factors for v in induced_substitute(rule, w)):
+            return Atlas(n, frozenset(factors))
         length *= 2
         if length > cap:
             raise PrefixLimitError(
-                f"factor set of length {n} did not stabilize within the prefix cap {cap}"
+                f"factor set of length {n} did not close within the prefix cap {cap}"
             )
-        bigger = _ngrams(stream.prefix(length), n)
-        if bigger == factors:
-            return Atlas(n, frozenset(factors))
-        factors = bigger
 
 
 def complexity(rule, n, seed=None):

@@ -3,8 +3,16 @@ they check: factor sets come from plain repeated substitution, palindrome
 maxima from an all-substrings scan.  Also collects the acceptance
 criterion verdicts and prints them in the terminal summary."""
 
-from aperiodica.substitution import apply
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import aperiodica
+from aperiodica.substitution import apply, resolve_seed_and_power
 from aperiodica.words import is_palindrome
+
+SRC = Path(aperiodica.__file__).resolve().parents[1]
 
 acceptance_lines = []
 
@@ -21,13 +29,14 @@ def pytest_terminal_summary(terminalreporter):
 
 
 def expanded_word(rule, seed, min_length):
-    """sigma^j(seed) for the first j that reaches min_length letters."""
+    """sigma^(k*j)(seed) for the first j that reaches min_length letters,
+    with k the power at which the seed's image starts with the seed and
+    grows (a single step of sigma may keep the length)."""
+    seed, power = resolve_seed_and_power(rule, seed)
     w = (seed,)
     while len(w) < min_length:
-        grown = apply(rule, w)
-        if len(grown) == len(w):
-            raise ValueError("rule does not grow from this seed")
-        w = grown
+        for _ in range(power):
+            w = apply(rule, w)
     return w
 
 
@@ -50,3 +59,12 @@ def brute_maximal_palindromes(word):
                 if best.get(c2, 0) < length:
                     best[c2] = length
     return best
+
+
+def run_python(*args, timeout=60):
+    """Run the interpreter with ``args`` in a child process that imports
+    this checkout's package, so that a hang fails the test by timeout."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=timeout, env=env
+    )

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import run_python
 from aperiodica import cli
 from aperiodica import rudin_shapiro
 
@@ -12,6 +13,13 @@ RS_RULE = {
     "images": {"a": "ab", "b": "ac", "c": "db", "d": "dc"},
     "seed": "a",
 }
+# Rules on which earlier atlas constructions went wrong: the first kept
+# the non-factors ca and dc, the second's prefix stop came too early.
+CLOSURE_RULE = {
+    "alphabet": ["a", "b", "c", "d"],
+    "images": {"a": "cc", "b": "ccd", "c": "abd", "d": "bc"},
+}
+EARLY_STOP_RULE = {"alphabet": ["a", "b", "c"], "images": {"a": "bb", "b": "ca", "c": "aaa"}}
 FIB_SPEC = {"d": 5, "omega": "golden", "window": {"lo": "1/3", "hi": "4/3"}, "R": "200"}
 
 
@@ -60,8 +68,34 @@ def test_atlas_missing_file(capsys):
 
 def test_atlas_nonprimitive_rule(files, capsys):
     rule = files("perm.json", {"alphabet": ["a", "b"], "images": {"a": "b", "b": "a"}})
-    assert cli.main(["atlas", "--rule", rule, "-N", "2"]) == 1
-    assert "Wielandt bound 2" in capsys.readouterr().err
+    for argv in (
+        ["atlas", "--rule", rule, "-N", "2"],
+        ["exclude", "--rule", rule, "--nmax", "4"],
+        ["spectrum", "--rule", rule, "--values", "a=0,b=1", "--size", "5"],
+    ):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert "Wielandt bound 2" in captured.err
+        assert captured.out == ""
+
+
+def test_atlas_holds_only_factors(files, capsys):
+    rule = files("closure.json", CLOSURE_RULE)
+    code, data = run_json(capsys, ["atlas", "--rule", rule, "-N", "2"])
+    assert code == 0
+    assert data["words"] == ["ab", "bc", "bd", "cc", "cd", "da", "db"]
+    code, data = run_json(capsys, ["exclude", "--rule", rule, "--nmax", "21"])
+    assert code == 0
+    assert data["lengths_with_palindromes"] == [1, 2, 3, 4, 5]
+    assert data["first_excluding_pair"] == 6
+
+
+def test_atlas_window_method_finds_every_factor(files, capsys):
+    rule = files("early.json", EARLY_STOP_RULE)
+    code, data = run_json(capsys, ["atlas", "--rule", rule, "-N", "10", "--method", "both"])
+    assert code == 0
+    assert data["count"] == 52
+    assert data["methods_agree"] is True
 
 
 def test_atlas_prefix_cap(files, capsys, monkeypatch):
@@ -228,6 +262,26 @@ def test_spectrum_rejects_repeated_values(files, capsys):
     )
     assert code == 2
     assert "pairwise different" in capsys.readouterr().err
+
+
+def test_spectrum_tolerance_below_float_spacing():
+    proc = run_python("-m", "aperiodica.cli", "spectrum", "--size", "5", "--tol", "1e-17")
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["eigenvalues"]) == 5
+
+
+def test_spectrum_rejects_non_finite_input(files, capsys):
+    assert cli.main(["spectrum", "--size", "5", "--tol", "nan"]) == 2
+    assert "tolerance" in capsys.readouterr().err
+    rule = files("fib.json", FIB_RULE)
+    assert cli.main(["spectrum", "--rule", rule, "--values", "a=0,b=nan", "--size", "5"]) == 2
+    assert "finite" in capsys.readouterr().err
+    proc = run_python(
+        "-m", "aperiodica.cli", "spectrum", "--rule", rule,
+        "--values", "a=0,b=1e308", "--lambda", "10", "--size", "5",
+    )
+    assert proc.returncode == 2
+    assert "finite" in proc.stderr
 
 
 def test_spectrum_rejects_zero_size(capsys):

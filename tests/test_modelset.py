@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import brute_maximal_palindromes
+from conftest import brute_maximal_palindromes, run_python
 from aperiodica.modelset import (
     FieldElement,
     LatticeSpec,
@@ -77,6 +77,24 @@ def test_field_floor_is_exact(p, q):
     assert not z < k
     assert z < k + 1
     assert z.ceil() == -((-z).floor())
+
+
+def test_field_floor_of_tiny_element_with_huge_coefficients():
+    # (L_200 - F_200 * sqrt(5)) / 2 = psi^200, psi = (1 - sqrt(5)) / 2, is
+    # about 1e-42 while its float value is off by about 4e25; a floor
+    # seeded from the float walked that distance one integer at a time.
+    proc = run_python(
+        "-c",
+        "from fractions import Fraction\n"
+        "from aperiodica.modelset import FieldElement\n"
+        "f, g = 0, 1\n"
+        "for _ in range(200):\n"
+        "    f, g = g, f + g\n"
+        "lucas = 2 * g - f\n"
+        "print(FieldElement(5, Fraction(lucas, 2), Fraction(-f, 2)).floor())\n",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
 
 
 @given(rationals, rationals, rationals, rationals)

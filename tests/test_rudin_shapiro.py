@@ -94,6 +94,7 @@ def test_counts_agree_from_length_eight_on():
 
 def test_verdicts():
     v4, v2 = palindrome_verdicts(16)
+    assert table1(16).verdicts == (v4, v2)
     assert v4.status == EXCLUDED and v4.first_excluding_pair == 8
     assert sorted(v4.lengths_with_palindromes) == [1, 3, 5, 7]
     assert v2.status == EXCLUDED and v2.first_excluding_pair == 15

@@ -1,9 +1,11 @@
+import json
 import math
 import random
 
 import numpy as np
 import pytest
 
+from conftest import run_python
 from aperiodica.spectral import (
     BOUNDARY_NEUMANN,
     TridiagonalOperator,
@@ -90,8 +92,31 @@ def test_sturm_count_brackets_spectrum():
 
 
 def test_eigenvalue_tolerance_validation():
-    with pytest.raises(ValueError):
-        eigenvalues(TridiagonalOperator((0.0,)), tol=0.0)
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            eigenvalues(TridiagonalOperator((0.0,)), tol=tol)
+
+
+def test_operator_rejects_non_finite_diagonal():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            TridiagonalOperator((0.0, bad))
+
+
+def test_bisection_stops_at_adjacent_floats():
+    # Brackets narrower than one ulp, and diagonals whose endpoint sum
+    # overflows, once kept the bisection spinning forever.
+    proc = run_python(
+        "-c",
+        "import json\n"
+        "from aperiodica.spectral import TridiagonalOperator, eigenvalues\n"
+        "print(json.dumps(eigenvalues(TridiagonalOperator((0.0,) * 3), tol=1e-18)))\n"
+        "print(json.dumps(eigenvalues(TridiagonalOperator((0.0, 1.7e308)))))\n",
+    )
+    assert proc.returncode == 0, proc.stderr
+    tiny, huge = (json.loads(line) for line in proc.stdout.splitlines())
+    assert tiny == pytest.approx(free_eigenvalues(3), abs=1e-15)
+    assert huge == pytest.approx([0.0, 1.7e308], abs=1e-9)
 
 
 def test_interlacing():

@@ -7,6 +7,7 @@ from aperiodica.rudin_shapiro import quaternary_rule
 from aperiodica.substitution import (
     Atlas,
     FixedPointStream,
+    NotPrimitiveError,
     PrefixLimitError,
     SubstitutionRule,
     apply,
@@ -164,16 +165,32 @@ def test_atlas_examples():
 
 def test_atlas_requires_primitive_rule():
     swap = SubstitutionRule(Alphabet("ab"), ((1,), (0,)))
-    with pytest.raises(ValueError):
-        atlas_by_induction(swap, 2)
-    with pytest.raises(ValueError):
-        atlas_by_window(swap, 2)
+    for build in (atlas_by_induction, atlas_by_window, atlas_chain):
+        with pytest.raises(NotPrimitiveError, match="Wielandt bound 2"):
+            build(swap, 2)
+
+
+def random_primitive_rules(count, seed):
+    """Seeded primitive rules on 2-4 letters with images of length 1-4."""
+    rng = random.Random(seed)
+    rules = []
+    while len(rules) < count:
+        r = rng.choice((2, 3, 4))
+        images = tuple(
+            tuple(rng.randrange(r) for _ in range(rng.randint(1, 4))) for _ in range(r)
+        )
+        rule = SubstitutionRule(Alphabet("abcd"[:r]), images)
+        if is_primitive(matrix(rule)) is not None:
+            rules.append(rule)
+    return rules
 
 
 def test_atlas_matches_brute_force_factors():
-    for rule, n in ((fibonacci_rule(), 6), (thue_morse_rule(), 6), (quaternary_rule(), 5)):
+    cases = [(fibonacci_rule(), 6), (thue_morse_rule(), 6), (quaternary_rule(), 5)]
+    cases += [(rule, 8) for rule in random_primitive_rules(40, 3)]
+    for rule, n in cases:
         seed, _ = resolve_seed_and_power(rule)
-        expected = brute_factors(rule, seed, n)
+        expected = brute_factors(rule, seed, n, min_length=20000)
         assert atlas_by_induction(rule, n).words == expected
         assert atlas_by_window(rule, n).words == expected
 
