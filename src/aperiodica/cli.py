@@ -264,7 +264,14 @@ def cmd_spectrum(args):
         op = spectral.TridiagonalOperator((0.0,) * args.size)
     eigs = spectral.eigenvalues(op, tol=args.tol)
     lo, hi = eigs[0] - 0.5, eigs[-1] + 0.5
-    grid = [lo + (hi - lo) * i / 200 for i in range(201)]
+    # lo + (hi - lo) * i / 200, evaluated 2**9 times smaller so that no
+    # intermediate overflows; scaling by a power of two is exact, so this
+    # is that formula bit for bit wherever it stays finite.  Only a top
+    # end within rounding of the largest float can round past it.
+    s = 2.0**-9
+    grid = [
+        min((lo * s + (hi * s - lo * s) * i / 200) / s, sys.float_info.max) for i in range(201)
+    ]
     table = [(e, spectral.ids(eigs, e)) for e in grid]
     if args.format == "tsv":
         lines = ["E\tids"] + [f"{_f15(e)}\t{_f15(v)}" for e, v in table]

@@ -4,8 +4,8 @@ The operator acts as (L u)_n = u_{n+1} + u_{n-1} + x_n u_n with a
 potential x taking finitely many pairwise different values.  Finite
 sections cannot certify the spectral type of the infinite operator;
 everything here is a finite-size observable: eigenvalues by Sturm
-counting and bisection, the integrated density of states, and transfer
-matrix products with overflow-safe renormalization.
+counting with safeguarded Newton steps, the integrated density of
+states, and transfer matrix products with overflow-safe renormalization.
 """
 
 from __future__ import annotations
@@ -67,18 +67,34 @@ def build_finite(potential, values, coupling, window=None, boundary=BOUNDARY_DIR
     return TridiagonalOperator(tuple(diag))
 
 
-def sturm_count(op, x):
-    """Number of eigenvalues strictly below x, via the sign pattern of the
-    leading-principal-minor recursion."""
+def _sturm(diagonal, x):
+    """One pass of the leading-principal-minor recursion at x.
+
+    Returns ``(count, slope)``: the number of pivots q_i = (a_i - x) -
+    1/q_{i-1} below zero, which is the number of eigenvalues strictly
+    below x, and slope = d/dx log|det(T - x)| = sum q_i'/q_i, with
+    q_i' = -1 + q_{i-1}'/q_{i-1}^2 carried in the same loop.
+    """
     count = 0
-    q = 1.0
-    for i, a in enumerate(op.diagonal):
-        q = (a - x) if i == 0 else (a - x) - 1.0 / q
+    slope = 0.0
+    dq = 0.0
+    r = 0.0  # 1/q of the previous pivot; q = inf before the first, whose pivot is a - x
+    for a in diagonal:
+        dq = dq * r * r - 1.0
+        q = (a - x) - r
         if q == 0.0:
             q = 1e-300
         if q < 0.0:
             count += 1
-    return count
+        r = 1.0 / q
+        slope += dq * r
+    return count, slope
+
+
+def sturm_count(op, x):
+    """Number of eigenvalues strictly below x, via the sign pattern of the
+    leading-principal-minor recursion."""
+    return _sturm(op.diagonal, x)[0]
 
 
 def _bounds(op):
@@ -88,28 +104,61 @@ def _bounds(op):
 
 
 def eigenvalues(op, tol=1e-12):
-    """All eigenvalues, ascending, each bracketed to width <= tol by bisection.
+    """All eigenvalues, ascending, each the midpoint of a bracket [a, b]
+    with sturm_count(a) <= k < sturm_count(b) and b - a <= tol, or a and
+    b adjacent floats however small ``tol`` is.
 
-    A bracket that narrows to adjacent floats stops there, however small
-    ``tol`` is.
+    Every probe's Sturm count is kept, so eigenvalue k starts from the
+    tightest bracket any earlier probe gave.  Inside it, a Newton step
+    on det(T - x), x - 1/slope, is taken from the last probe when the
+    bracket holds only eigenvalue k; the Sturm count says which side of
+    the eigenvalue each probe lies on.  A step that leaves the bracket,
+    is not finite, or is longer than half the previous step is replaced
+    by bisection.  A step shorter than tol/4 is not taken: one probe
+    tol/2 beyond the last point closes the bracket instead.  Newton runs
+    on the determinant rather than on the last pivot because the pivot
+    has a pole at each eigenvalue of the leading minor, which sits
+    exponentially close to the eigenvalue when its eigenvector is
+    localised; the determinant has no poles.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tolerance must be positive and finite")
+    diagonal = op.diagonal
     lo, hi = _bounds(op)
+    # Every probe so far, ascending, with its Sturm count; the bounds
+    # count 0 and n without a pass.
+    xs, counts = [lo, hi], [0, op.size]
     out = []
-    a_floor = lo
     for k in range(op.size):
-        a, b = a_floor, hi
+        j = bisect_right(counts, k)
+        a, b = xs[j - 1], xs[j]
+        isolated = counts[j] - counts[j - 1] == 1
+        x, slope = a, None  # no slope yet: the first probe bisects
         while b - a > tol:
             mid = 0.5 * a + 0.5 * b  # halves first: the sum may overflow
-            if mid == a or mid == b:
+            y = mid
+            if isolated and slope and math.isfinite(slope):
+                step = -1.0 / slope
+                if abs(step) < 0.25 * tol:
+                    y = x + math.copysign(0.5 * tol, step)
+                elif abs(step) <= 0.5 * prev:
+                    y = x + step
+                if not a < y < b:
+                    y = mid
+            if y == a or y == b:
                 break
-            if sturm_count(op, mid) <= k:
-                a = mid
+            c, slope = _sturm(diagonal, y)
+            prev, x = abs(y - x), y
+            j = bisect_right(xs, y)
+            xs.insert(j, y)
+            counts.insert(j, c)
+            if c <= k:
+                a = y
+                isolated = counts[j + 1] - c == 1
             else:
-                b = mid
+                b = y
+                isolated = c - counts[j - 1] == 1
         out.append(0.5 * a + 0.5 * b)
-        a_floor = a
     return out
 
 

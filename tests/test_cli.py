@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -282,6 +283,32 @@ def test_spectrum_rejects_non_finite_input(files, capsys):
     )
     assert proc.returncode == 2
     assert "finite" in proc.stderr
+
+
+def _reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+def test_spectrum_ids_grid_stays_finite(files):
+    # The IDS grid once spanned eigenvalues near the float limit with
+    # lo + (hi - lo) * i / 200, whose span overflows, and printed Infinity.
+    rule = files("fib.json", FIB_RULE)
+    for values in (
+        "a=0,b=1.7e308",
+        "a=-1.7e308,b=1.7e308",
+        "a=-1e308,b=1e308",
+        "a=0,b=1.7976931348623157e308",
+        "a=-1.79769313486231e308,b=1.7976931348623157e308",  # top end rounds past the max
+    ):
+        proc = run_python(
+            "-m", "aperiodica.cli", "spectrum", "--rule", rule,
+            "--values", values, "--size", "5",
+        )
+        assert proc.returncode == 0, (values, proc.stderr)
+        data = json.loads(proc.stdout, parse_constant=_reject_constant)
+        grid = [e for e, _ in data["ids"]]
+        assert all(math.isfinite(e) for e in grid), values
+        assert grid == sorted(grid), values
 
 
 def test_spectrum_rejects_zero_size(capsys):

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import run_python
+from aperiodica import spectral
+from aperiodica.rudin_shapiro import quaternary_prefix
 from aperiodica.spectral import (
+    BOUNDARY_DIRICHLET,
     BOUNDARY_NEUMANN,
     TridiagonalOperator,
     build_finite,
@@ -117,6 +120,110 @@ def test_bisection_stops_at_adjacent_floats():
     tiny, huge = (json.loads(line) for line in proc.stdout.splitlines())
     assert tiny == pytest.approx(free_eigenvalues(3), abs=1e-15)
     assert huge == pytest.approx([0.0, 1.7e308], abs=1e-9)
+
+
+def stress_operators():
+    """Seeded Fibonacci, Rudin-Shapiro and random sections at n = 300 with
+    ordinary, clustered (1e-7 apart) and large (1e6) values, under both
+    boundaries."""
+    n = 300
+    rng = random.Random(29)
+    fib, rs = fib_prefix(n), quaternary_prefix(n)
+    cases = [
+        ("fibonacci", fib, {0: rng.uniform(-2, 2), 1: rng.uniform(-2, 2)}),
+        ("rudin-shapiro", rs, {a: rng.uniform(-1, 1) for a in range(4)}),
+        ("random", tuple(range(n)), {i: rng.uniform(-3, 3) for i in range(n)}),
+        ("clustered", rs, {a: a * 1e-7 for a in range(4)}),
+        ("large fibonacci", fib, {0: 0.0, 1: 1e6}),
+        ("large rudin-shapiro", rs, {a: rng.uniform(-1e6, 1e6) for a in range(4)}),
+    ]
+    for label, word, values in cases:
+        for boundary in (BOUNDARY_DIRICHLET, BOUNDARY_NEUMANN):
+            yield f"{label}/{boundary}", build_finite(word, values, 1.0, boundary=boundary)
+
+
+def counting_sturm(monkeypatch):
+    """Replace the Sturm pass with one that counts its calls."""
+    passes = [0]
+    sturm = spectral._sturm
+
+    def counted(diagonal, x):
+        passes[0] += 1
+        return sturm(diagonal, x)
+
+    monkeypatch.setattr(spectral, "_sturm", counted)
+    return passes
+
+
+@pytest.fixture(scope="module")
+def stress_solves():
+    """(label, operator, tol, eigenvalues, Sturm passes) per stress case."""
+    solves = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        passes = counting_sturm(monkeypatch)
+        for label, op in stress_operators():
+            for tol in (1e-6, 1e-12, 1e-15):
+                passes[0] = 0
+                eigs = eigenvalues(op, tol=tol)
+                solves.append((label, op, tol, eigs, passes[0]))
+    return solves
+
+
+def test_eigenvalues_keep_their_brackets(stress_solves):
+    # Guard on the contract: each returned value is the midpoint of a
+    # bracket no wider than tol (or one ulp) holding eigenvalue k.
+    for label, op, tol, eigs, _ in stress_solves:
+        assert len(eigs) == op.size
+        for k, e in enumerate(eigs):
+            d = max(tol / 2, math.ulp(e))
+            assert sturm_count(op, e - d) <= k < sturm_count(op, e + d), (label, tol, k)
+
+
+def test_stress_solves_need_no_more_passes_than_bisection(stress_solves):
+    for label, op, tol, _, passes in stress_solves:
+        lo, hi = min(op.diagonal) - 2.0, max(op.diagonal) + 2.0
+        bisection = math.ceil(math.log2((hi - lo) / tol)) + 2
+        assert passes <= bisection * op.size, (label, tol, passes / op.size)
+
+
+def test_few_sturm_passes_per_eigenvalue(monkeypatch):
+    # Bisection from the global bounds took about 41 passes per eigenvalue
+    # at this size and tolerance.
+    passes = counting_sturm(monkeypatch)
+    rng = random.Random(31)
+    values = {a: rng.uniform(-1, 1) for a in range(4)}
+    for op in (
+        build_finite(fib_prefix(300), FIB_VALUES, 1.5),
+        build_finite(quaternary_prefix(300), values, 1.0),
+    ):
+        passes[0] = 0
+        assert len(eigenvalues(op, tol=1e-12)) == 300
+        assert passes[0] <= 12 * 300, passes[0] / 300
+
+
+def test_eigenvalues_end_on_hostile_slopes():
+    # At x = 0 the free operator of odd size has eigenvalues of leading
+    # minors, so a pivot is replaced by 1e-300 and the slope turns inf or
+    # NaN; on +-1e308 diagonals a - x overflows.
+    huge = ((1e308, -1e308), (-1e308, 1e308, -1e308), (1.7e308, -1.7e308, 0.0, 1.7e308))
+    proc = run_python(
+        "-c",
+        "import json, sys\n"
+        "from aperiodica.spectral import TridiagonalOperator, eigenvalues\n"
+        "for n in (3, 5, 101):\n"
+        "    print(json.dumps(eigenvalues(TridiagonalOperator((0.0,) * n))))\n"
+        "for diagonal in json.loads(sys.argv[1]):\n"
+        "    print(json.dumps(eigenvalues(TridiagonalOperator(diagonal))))\n",
+        json.dumps(huge),
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    for n, got in zip((3, 5, 101), lines):
+        assert len(got) == n
+        assert max(abs(a - b) for a, b in zip(got, free_eigenvalues(n))) < 1e-10
+    for diagonal, got in zip(huge, lines[3:]):
+        assert got == pytest.approx(sorted(diagonal), rel=1e-12, abs=1e-9)
+    assert len(lines) == 3 + len(huge)
 
 
 def test_interlacing():
