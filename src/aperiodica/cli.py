@@ -226,12 +226,10 @@ def cmd_modelset(args):
         _emit(_json_text(payload), args.output)
         return 0
     seq = modelset.gaps_to_letters(patch)
-    scan = modelset.palindrome_scan(seq.letters)
+    scan = modelset.palindrome_scan(seq.letters, top=args.top)
     payload["sequence_length"] = len(seq.letters)
     payload["max_palindrome_length"] = scan[0][1] if scan else 0
-    payload["palindromes"] = [
-        {"center2": c2, "length": length} for c2, length in scan[: args.top]
-    ]
+    payload["palindromes"] = [{"center2": c2, "length": length} for c2, length in scan]
     _emit(_json_text(payload), args.output)
     return 0
 
@@ -251,6 +249,16 @@ def _parse_values(text, alphabet):
     return mapping
 
 
+def _ids_grid(lo, hi):
+    """lo + (hi - lo) * i / 200 for i = 0..200, evaluated 2**9 times
+    smaller so that no intermediate overflows; scaling by a power of two
+    is exact, so this is that formula bit for bit wherever it stays
+    finite.  Only a top end within rounding of the largest float can
+    round past it, and is held there."""
+    s = 2.0**-9
+    return [min((lo * s + (hi * s - lo * s) * i / 200) / s, sys.float_info.max) for i in range(201)]
+
+
 def cmd_spectrum(args):
     if args.rule:
         rule, seed = _load_rule(args.rule)
@@ -264,14 +272,15 @@ def cmd_spectrum(args):
         op = spectral.TridiagonalOperator((0.0,) * args.size)
     eigs = spectral.eigenvalues(op, tol=args.tol)
     lo, hi = eigs[0] - 0.5, eigs[-1] + 0.5
-    # lo + (hi - lo) * i / 200, evaluated 2**9 times smaller so that no
-    # intermediate overflows; scaling by a power of two is exact, so this
-    # is that formula bit for bit wherever it stays finite.  Only a top
-    # end within rounding of the largest float can round past it.
-    s = 2.0**-9
-    grid = [
-        min((lo * s + (hi * s - lo * s) * i / 200) / s, sys.float_info.max) for i in range(201)
-    ]
+    # The half unit of headroom is lost to rounding beyond 2**53, and at
+    # the top also when the span dwarfs that end; such an end is widened
+    # by a margin that rounding by a few ulps of the larger end cannot undo.
+    margin = max(-lo, hi) * 2.0**-40
+    if lo == eigs[0]:
+        lo = max(lo - margin, -sys.float_info.max)
+    grid = _ids_grid(lo, hi)
+    if grid[-1] < eigs[-1]:
+        grid = _ids_grid(lo, min(hi + margin, sys.float_info.max))
     table = [(e, spectral.ids(eigs, e)) for e in grid]
     if args.format == "tsv":
         lines = ["E\tids"] + [f"{_f15(e)}\t{_f15(v)}" for e, v in table]

@@ -2,14 +2,17 @@
 
 Physical and internal space are both the real line; the lattice is
 Z + Z*omega embedded through z -> (z, z~) with z~ the Galois conjugate.
-All membership and symmetry decisions are made in exact rational
-arithmetic, floats only ever serve as sort keys and renderings.
+All membership, order and symmetry decisions are made in exact
+arithmetic.  Floats serve as renderings only, apart from fast paths that
+decide nothing within a tolerance band of a boundary, where an exact
+test takes over.
 """
 
 from __future__ import annotations
 
 import math
 import string
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
@@ -308,9 +311,10 @@ def genericity_shift(window, lattice, denominator=16, max_numerator=64):
 class ModelSetPatch:
     """The points of the cut-and-project set within [-R, R].
 
-    ``coords`` holds exact (m, n) lattice coordinates sorted by physical
-    position; ``values`` are float renderings used only for display and
-    as verified sort keys.
+    ``coords`` holds exact (m, n) lattice coordinates in increasing
+    physical position, the order in which ``enumerate_patch`` walks them;
+    ``values`` are their float renderings m + n*float(omega), for display
+    and for float fast paths that defer to exact tests.
     """
 
     lattice: LatticeSpec
@@ -343,68 +347,142 @@ def _floor_scaled(a, b, scale, d):
     return t // scale
 
 
+def _row_points(lattice, lo, hi, x_lo, x_hi):
+    """Every (m, n) with x_lo <= m + n*omega <= x_hi and lo <= m + n*omega~ <= hi.
+
+    For each feasible n the two constraints pin m to an exact integer
+    interval, so the enumeration is complete by construction.  Points come
+    row by row in n, not in physical order.  The inner loop runs on
+    integers scaled by a common denominator.
+    """
+    d = lattice.field.d
+    omega = lattice.omega()
+    omega_star = lattice.omega_star()
+    spread = omega - omega_star
+    n_lo = ((x_lo - hi) / spread).ceil()
+    n_hi = ((x_hi - lo) / spread).floor()
+    parts = (x_lo, x_hi, omega.p, omega.q, lo.p, lo.q, hi.p, hi.q)
+    scale = math.lcm(*(f.denominator for f in parts))
+    xlo_i, xhi_i = int(x_lo * scale), int(x_hi * scale)
+    wp_i, wq_i = int(omega.p * scale), int(omega.q * scale)
+    sp_i, sq_i = int(omega_star.p * scale), int(omega_star.q * scale)
+    lop_i, loq_i = int(lo.p * scale), int(lo.q * scale)
+    hip_i, hiq_i = int(hi.p * scale), int(hi.q * scale)
+    out = []
+    for n in range(n_lo, n_hi + 1):
+        m_start = max(
+            -_floor_scaled(n * wp_i - xlo_i, n * wq_i, scale, d),
+            -_floor_scaled(n * sp_i - lop_i, n * sq_i - loq_i, scale, d),
+        )
+        m_end = min(
+            _floor_scaled(xhi_i - n * wp_i, -n * wq_i, scale, d),
+            _floor_scaled(hip_i - n * sp_i, hiq_i - n * sq_i, scale, d),
+        )
+        out.extend((m, n) for m in range(m_start, m_end + 1))
+    return out
+
+
 def enumerate_patch(lattice, window, radius):
     """All lattice points z with |z| <= radius whose star image lies in the window.
 
-    For each feasible n the two constraints |m + n*omega| <= R and
-    lo <= m + n*omega~ <= hi pin m to an exact integer interval, so the
-    enumeration is complete by construction.  The inner loop runs on
-    integers scaled by a common denominator.
+    The patch is walked gap by gap from its least point: the successor of
+    x is x + g for the smallest lattice g > 0 with x* + g* in the window.
+    Any such g has |g*| <= |W|, so the candidates are every lattice g in
+    (0, B] with |g*| <= |W|, in exact order; when none fits, no point lies
+    in (x, x + B] and B doubles.  No point can be skipped.  The walk ends
+    at the greatest point, found like the least by the row enumeration.
+    Each step is decided by integer sign tests of a + b*sqrt(d), with a
+    float fast path outside a tolerance band.
     """
     R = Fraction(radius)
     if R <= 0:
         raise ValueError("radius must be positive")
-    field = lattice.field
-    d = field.d
+    d = lattice.field.d
     if window.lo.d != d:
         raise ValueError("window and lattice use different fields")
-    omega = lattice.omega()
+    lo, hi = window.lo, window.hi
+    width = hi - lo
+    exact = lattice.element
+
+    def extreme(pick, x_lo, x_hi):
+        rows = _row_points(lattice, lo, hi, max(x_lo, -R), min(x_hi, R))
+        return pick(rows, key=lambda mn: exact(*mn)) if rows else None
+
+    B = Fraction(1)
+    first = extreme(min, -R, -R + B)
+    while first is None and -R + B < R:
+        B *= 2
+        first = extreme(min, -R, -R + B)
+    if first is None:
+        return ModelSetPatch(lattice, window, R, (), ())
+    last = extreme(max, R - B, R)
+    while last is None:
+        B *= 2
+        last = extreme(max, R - B, R)
+
+    # u = S*(x* - x0*) = ua + ub*sqrt(d) for the current point x and the
+    # first point x0, over a common denominator S; x* lies in the window
+    # iff S*(lo - x0*) = la + lb*sqrt(d) <= u <= ha + hb*sqrt(d) = S*(hi - x0*).
     omega_star = lattice.omega_star()
-    spread = omega - omega_star
-    n_lo = ((-window.hi - R) / spread).ceil()
-    n_hi = ((R - window.lo) / spread).floor()
-    parts = (R, omega.p, omega.q, window.lo.p, window.lo.q, window.hi.p, window.hi.q)
+    parts = (omega_star.p, omega_star.q, lo.p, lo.q, hi.p, hi.q)
     scale = math.lcm(*(f.denominator for f in parts))
-    r_i = int(R * scale)
-    wp_i, wq_i = int(omega.p * scale), int(omega.q * scale)
-    sp_i, sq_i = int(omega_star.p * scale), int(omega_star.q * scale)
-    lop_i, loq_i = int(window.lo.p * scale), int(window.lo.q * scale)
-    hip_i, hiq_i = int(window.hi.p * scale), int(window.hi.q * scale)
-    omega_f = float(omega)
-    out = []
-    for n in range(n_lo, n_hi + 1):
-        m_start = max(
-            -_floor_scaled(r_i + n * wp_i, n * wq_i, scale, d),
-            -_floor_scaled(n * sp_i - lop_i, n * sq_i - loq_i, scale, d),
-        )
-        m_end = min(
-            _floor_scaled(r_i - n * wp_i, -n * wq_i, scale, d),
-            _floor_scaled(hip_i - n * sp_i, hiq_i - n * sq_i, scale, d),
-        )
-        n_omega_f = n * omega_f
-        for m in range(m_start, m_end + 1):
-            out.append((m + n_omega_f, m, n))
-    out.sort(key=lambda t: t[0])
-    _verify_sorted(lattice, out, R)
-    return ModelSetPatch(
-        lattice,
-        window,
-        R,
-        tuple((m, n) for _, m, n in out),
-        tuple(v for v, _, _ in out),
-    )
+    sp, sq = int(omega_star.p * scale), int(omega_star.q * scale)
+    x0_star = star(exact(*first))
+    below, above = (lo - x0_star) * scale, (hi - x0_star) * scale
+    la, lb, ha, hb = int(below.p), int(below.q), int(above.p), int(above.q)
+    sqd = math.sqrt(d)
+    # Floats of la + lb*sqrt(d) and ha + hb*sqrt(d) to within 2**-64, read
+    # off the exact floor, since the coefficients may cancel or be huge.
+    below_f = _floor_scaled(la << 64, lb << 64, 1, d) / 2**64
+    above_f = _floor_scaled(ha << 64, hb << 64, 1, d) / 2**64
+    # Every point has |n| <= n_bound, so |ua| + |ub|*sqrt(d) <= 2*ub_max*sqrt(d)
+    # + S*|W|; the float error of a window test is a few ulps of that plus
+    # the gap's own size, and the band is about 2**10 times wider.
+    n_bound = ((R + abs(lo) + abs(hi)) / (lattice.omega() - omega_star)).floor() + 1
+    ub_max = 2 * n_bound * abs(sq)
+    eps = 2.0**-40
 
+    def fits(a, b):
+        return _floor_scaled(a - la, b - lb, 1, d) >= 0 and _floor_scaled(ha - a, hb - b, 1, d) >= 0
 
-def _verify_sorted(lattice, triples, R):
-    """Re-check float ordering exactly wherever two keys are suspiciously close."""
-    tol = 1e-9 * (1.0 + float(R))
-    for i in range(len(triples) - 1):
-        v0, m0, n0 = triples[i]
-        v1, m1, n1 = triples[i + 1]
-        if v1 - v0 < tol:
-            gap = lattice.element(m1 - m0, n1 - n0)
-            if not gap.sign() > 0:
-                raise RuntimeError("float sort keys disagreed with exact order; this is a bug")
+    def candidates():
+        gaps = _row_points(lattice, -width, width, Fraction(0), B)
+        gaps.remove((0, 0))
+        gaps.sort(key=lambda mn: exact(*mn))
+        out = []
+        size = 0.0
+        for gm, gn in gaps:
+            ga, gb = scale * gm + gn * sp, gn * sq
+            out.append((gm, gn, ga, gb, ga + gb * sqd))
+            size = max(size, abs(ga) + abs(gb) * sqd)
+        tol = (2 * ub_max * sqd + above_f - below_f + size + 1) * eps
+        return out, (below_f + tol, above_f - tol, below_f - tol, above_f + tol)
+
+    cands, (inside_lo, inside_hi, outside_lo, outside_hi) = candidates()
+    m, n = first
+    end_m, end_n = last
+    ua = ub = 0
+    coords = [first]
+    while m != end_m or n != end_n:
+        uf = ua + ub * sqd
+        for gm, gn, ga, gb, gf in cands:
+            t = uf + gf
+            if inside_lo < t < inside_hi or (
+                outside_lo <= t <= outside_hi and fits(ua + ga, ub + gb)
+            ):
+                break
+        else:
+            B *= 2
+            cands, (inside_lo, inside_hi, outside_lo, outside_hi) = candidates()
+            continue
+        m += gm
+        n += gn
+        ua += ga
+        ub += gb
+        coords.append((m, n))
+    omega_f = float(lattice.omega())
+    values = tuple(m + n * omega_f for m, n in coords)
+    return ModelSetPatch(lattice, window, R, tuple(coords), values)
 
 
 @dataclass(frozen=True)
@@ -450,27 +528,8 @@ def inversion_witness(patch, max_shift=None, min_overlap_points=2):
     """
     if len(patch) == 0:
         return None
-    lattice = patch.lattice
-    candidates = []
-    center = centro_symmetry_center(patch.window)
-    exact = lattice.from_star(center)
-    if exact is not None:
-        candidates.append(-exact)
-    if len(patch) >= 2:
-        values = patch.values
-        mid = min(range(len(values)), key=lambda i: abs(values[i]))
-        mirror = -values[mid]
-        cap = float(patch.radius) / 2 if max_shift is None else float(max_shift)
-        mm, nm = patch.coords[mid]
-        data = []
-        for (m, n), v in zip(patch.coords, values):
-            shift = -mirror - v
-            if abs(shift) <= cap:
-                data.append((abs(shift), (-mm - m, -nm - n)))
-        data.sort()
-        candidates.extend(lattice.element(*mn) for _, mn in data)
     seen = set()
-    for t in candidates:
+    for t in _inversion_candidates(patch, max_shift):
         key = (t.p, t.q)
         if key in seen:
             continue
@@ -478,6 +537,30 @@ def inversion_witness(patch, max_shift=None, min_overlap_points=2):
         if _check_inversion(patch, t, min_overlap_points):
             return t
     return None
+
+
+def _inversion_candidates(patch, max_shift):
+    """The candidates of ``inversion_witness`` in the order they are tried,
+    each built only when the search reaches it."""
+    lattice = patch.lattice
+    exact = lattice.from_star(centro_symmetry_center(patch.window))
+    if exact is not None:
+        yield -exact
+    if len(patch) < 2:
+        return
+    values = patch.values
+    mid = min(range(len(values)), key=lambda i: abs(values[i]))
+    mirror = -values[mid]
+    cap = float(patch.radius) / 2 if max_shift is None else float(max_shift)
+    mm, nm = patch.coords[mid]
+    data = []
+    for (m, n), v in zip(patch.coords, values):
+        shift = -mirror - v
+        if abs(shift) <= cap:
+            data.append((abs(shift), (-mm - m, -nm - n)))
+    data.sort()
+    for _, mn in data:
+        yield lattice.element(*mn)
 
 
 def _check_inversion(patch, t, min_overlap_points):
@@ -544,25 +627,42 @@ def _manacher(word):
     return d1, d2
 
 
-def palindrome_scan(word, center_range=None):
+def palindrome_scan(word, center_range=None, top=None):
     """Maximal palindromic factors as (doubled_center, length) pairs.
 
     A factor occupying positions i..j is centered at (i + j) / 2; centers
     are reported doubled so half-integers stay exact.  Results are sorted
     by length descending, then by center.  ``center_range`` is an
-    inclusive (lo, hi) filter on the (undoubled) center.
+    inclusive (lo, hi) filter on the (undoubled) center.  ``top`` keeps
+    the first ``top`` rows: a length histogram finds the top-th length,
+    and only rows at least that long are built and sorted.
     """
+    if top is not None and top < 0:
+        raise ValueError(f"top must be non-negative, got {top}")
     d1, d2 = _manacher(word)
-    out = []
-    for i in range(len(word)):
-        out.append((2 * i, 2 * d1[i] - 1))
-        if d2[i] > 0:
-            out.append((2 * i - 1, 2 * d2[i]))
+    # Odd row i has center 2i and length 2*d1[i] - 1; even row i has center
+    # 2i - 1 and length 2*d2[i], and exists when d2[i] > 0.
+    n = len(word)
+    odd = even = range(n)
     if center_range is not None:
-        lo, hi = center_range
-        out = [(c2, ln) for c2, ln in out if 2 * lo <= c2 <= 2 * hi]
+        c_lo, c_hi = math.ceil(2 * center_range[0]), math.floor(2 * center_range[1])
+        odd = range(max(0, (c_lo + 1) // 2), min(n, c_hi // 2 + 1))
+        even = range(max(0, (c_lo + 2) // 2), min(n, (c_hi + 1) // 2 + 1))
+        d1, d2 = d1[odd.start : odd.stop], d2[even.start : even.stop]
+    shortest = 1
+    if top is not None:
+        lengths = Counter({2 * r - 1: count for r, count in Counter(d1).items()})
+        lengths.update({2 * r: count for r, count in Counter(d2).items() if r > 0})
+        kept = 0
+        for shortest in sorted(lengths, reverse=True):
+            kept += lengths[shortest]
+            if kept >= top:
+                break
+    r_odd, r_even = (shortest + 2) // 2, max(1, (shortest + 1) // 2)
+    out = [(2 * i, 2 * r - 1) for i, r in zip(odd, d1) if r >= r_odd]
+    out += [(2 * i - 1, 2 * r) for i, r in zip(even, d2) if r >= r_even]
     out.sort(key=lambda t: (-t[1], t[0]))
-    return out
+    return out[:top]
 
 
 def strong_palindromicity_report(palindromes, growth_rate):

@@ -112,7 +112,7 @@ def test_exclusion_soundness():
             continue
         fired += 1
         prefix = FixedPointStream(rule).prefix(100000)
-        longest = ms.palindrome_scan(prefix)[0][1]
+        longest = ms.palindrome_scan(prefix, top=1)[0][1]
         if longest >= verdict.first_excluding_pair:
             sound = False
     criterion(
@@ -179,7 +179,7 @@ def test_symmetry_and_palindromicity():
             witnesses_found = False
     big = ms.gaps_to_letters(ms.enumerate_patch(lattice, window, 120000))
     long_enough = len(big.letters) >= 100000
-    longest = ms.palindrome_scan(big.letters)[0][1]
+    longest = ms.palindrome_scan(big.letters, top=1)[0][1]
     criterion(
         "symmetry-palindromicity",
         witnesses_found and long_enough and longest >= 2000,

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,29 @@ CLOSURE_RULE = {
 }
 EARLY_STOP_RULE = {"alphabet": ["a", "b", "c"], "images": {"a": "bb", "b": "ca", "c": "aaa"}}
 FIB_SPEC = {"d": 5, "omega": "golden", "window": {"lo": "1/3", "hi": "4/3"}, "R": "200"}
+# Model-set windows whose CLI output is pinned by sha256 digests in
+# data/modelset_digests.json: the paper's window, two windows centred on
+# the star image (rational and irrational centre), a non-generic one, a
+# three-gap golden window and a sqrt(2) window.
+DIGEST_WINDOWS = {
+    "paper": {"d": 5, "omega": "golden", "window": {"lo": "1/3", "hi": "4/3"}},
+    "sym_rational": {"d": 5, "omega": "golden", "window": {"lo": "-1/2", "hi": "1/2"}},
+    "sym_irrational": {
+        "d": 5,
+        "omega": "golden",
+        "window": {"lo": {"p": "0", "q": "-1/2"}, "hi": {"p": "1", "q": "-1/2"}},
+    },
+    "nongeneric": {"d": 5, "omega": "golden", "window": {"lo": "0", "hi": "1"}},
+    "three_gap": {"d": 5, "omega": "golden", "window": {"lo": "-3/5", "hi": "7/10"}},
+    "sqrt2": {"d": 2, "omega": "sqrt", "window": {"lo": "1/5", "hi": "8/5"}},
+}
+DIGEST_CASES = [
+    (name, action, radius)
+    for name in DIGEST_WINDOWS
+    for action in ("generate", "check-window", "symmetry", "palindromes")
+    for radius in ("300", "2000")
+]
+DIGESTS = Path(__file__).parent / "data" / "modelset_digests.json"
 
 
 @pytest.fixture
@@ -233,6 +258,25 @@ def test_modelset_window_object_endpoints(files, capsys):
     assert data["inversion_witness"] is not None
 
 
+def modelset_digest(directory, name, action, radius):
+    """sha256 of the bytes ``aperiodica modelset`` writes for one corpus case."""
+    spec = Path(directory) / f"{name}.json"
+    spec.write_text(json.dumps(DIGEST_WINDOWS[name]))
+    out = Path(directory) / f"{name}-{action}-{radius}.out"
+    code = cli.main(["modelset", "--spec", str(spec), "--action", action, "-R", radius, "-o", str(out)])
+    assert code == 0, (name, action, radius)
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def test_modelset_output_bytes_are_pinned(tmp_path):
+    want = json.loads(DIGESTS.read_text())
+    got = {
+        f"{name} {action} R={radius}": modelset_digest(tmp_path, name, action, radius)
+        for name, action, radius in DIGEST_CASES
+    }
+    assert got == want
+
+
 def test_spectrum_free_case(capsys):
     code, data = run_json(capsys, ["spectrum", "--size", "3"])
     assert code == 0
@@ -309,6 +353,29 @@ def test_spectrum_ids_grid_stays_finite(files):
         grid = [e for e, _ in data["ids"]]
         assert all(math.isfinite(e) for e in grid), values
         assert grid == sorted(grid), values
+
+
+def test_spectrum_ids_grid_spans_the_spectrum(files):
+    # eigs[-1] + 0.5 adds nothing beyond 2**53 (and eigs[0] - 0.5 likewise),
+    # and a span that dwarfs the top swallows it in the grid's rounding; the
+    # IDS then ended at 0.6 or started above 0.
+    rule = files("fib.json", FIB_RULE)
+    for values in (
+        "a=0,b=1.7976931348623157e308",
+        "a=-1e308,b=1e308",
+        "a=-1e20,b=-1e17",
+        "a=-1e300,b=1",
+        "a=-1.7976931348623157e308,b=1.7976931348623157e308",
+    ):
+        proc = run_python(
+            "-m", "aperiodica.cli", "spectrum", "--rule", rule,
+            "--values", values, "--size", "5",
+        )
+        assert proc.returncode == 0, (values, proc.stderr)
+        data = json.loads(proc.stdout, parse_constant=_reject_constant)
+        eigs, table = data["eigenvalues"], data["ids"]
+        assert table[0][0] < eigs[0] and table[-1][0] >= eigs[-1], values
+        assert (table[0][1], table[-1][1]) == (0.0, 1.0), values
 
 
 def test_spectrum_rejects_zero_size(capsys):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from aperiodica.modelset import (
     star,
     strong_palindromicity_report,
 )
+from aperiodica.modelset import _row_points
 from aperiodica.rudin_shapiro import rs_binary_prefix
 from aperiodica.substitution import atlas_chain, fibonacci_rule
 
@@ -173,6 +175,105 @@ def test_patch_subset_monotonicity():
     assert set(small.coords) <= set(wide.coords)
 
 
+def oracle_patch(lattice, window, radius):
+    """The patch from the exact row enumeration over [-R, R], put in order
+    by exact field comparisons."""
+    R = Fraction(radius)
+    rows = _row_points(lattice, window.lo, window.hi, -R, R)
+    coords = tuple(sorted(rows, key=lambda mn: lattice.element(*mn)))
+    omega_f = float(lattice.omega())
+    values = tuple(m + n * omega_f for m, n in coords)
+    return ModelSetPatch(lattice, window, R, coords, values)
+
+
+def assert_walk_matches_oracle(lattice, window, radius):
+    walked = enumerate_patch(lattice, window, radius)
+    oracle = oracle_patch(lattice, window, radius)
+    assert walked.coords == oracle.coords
+    assert walked.values == oracle.values
+    if len(oracle) >= 2:
+        assert gaps_to_letters(walked) == gaps_to_letters(oracle)
+    return walked
+
+
+def random_window(rng, field, generic=True):
+    """A window with endpoints p + q*sqrt(d) for small rationals p and q,
+    at most about 6 long."""
+    lattice = LatticeSpec(field)
+    while True:
+        lo = field.element(
+            Fraction(rng.randint(-30, 30), rng.randint(1, 9)),
+            Fraction(rng.randint(-4, 4), rng.randint(1, 4)),
+        )
+        width = field.element(
+            Fraction(rng.randint(1, 40), rng.randint(10, 20)),
+            Fraction(rng.randint(-2, 2), rng.randint(3, 9)),
+        )
+        if not width.sign() > 0:
+            continue
+        window = Window(lo, lo + width)
+        if check_generic(window, lattice).w4 == generic:
+            return window
+
+
+def test_walk_matches_row_enumeration_on_named_windows():
+    sym = Window(GOLDEN.element(Fraction(-1, 2)), GOLDEN.element(Fraction(1, 2)))
+    irr = Window(star(TAU) - Fraction(1, 2), star(TAU) + Fraction(1, 2))
+    three_gap = Window(GOLDEN.element(Fraction(-3, 5)), GOLDEN.element(Fraction(7, 10)))
+    wide = Window(GOLDEN.element(Fraction(1, 4)), GOLDEN.element(Fraction(12, 5)))
+    nongeneric = Window(GOLDEN.element(0), GOLDEN.element(1))
+    # psi**2000, psi = (1 - sqrt(5)) / 2: a tiny number written with
+    # 418-digit coefficients, beyond what a float can hold.
+    f, g = 0, 1
+    for _ in range(2000):
+        f, g = g, f + g
+    tiny = GOLDEN.element(Fraction(2 * g - f, 2), Fraction(-f, 2))
+    huge = Window(tiny + Fraction(1, 3), tiny + Fraction(4, 3))
+    for window in (fib_window(), sym, irr, three_gap, wide, nongeneric, huge):
+        for radius in (Fraction(1, 2), 1, 3, 50, 1000):
+            assert_walk_matches_oracle(LAT, window, radius)
+    assert len(gaps_to_letters(enumerate_patch(LAT, three_gap, 300)).gaps) == 3
+    assert len(gaps_to_letters(enumerate_patch(LAT, wide, 300)).gaps) == 3
+    # A point exactly on the window's boundary stays in the closed window.
+    assert (0, 0) in enumerate_patch(LAT, nongeneric, 10).coords
+
+
+def test_walk_on_radii_with_no_or_one_point():
+    # No point of the paper's model set lies within 1/2 of the origin, and
+    # only the point 1 within 1.
+    assert len(assert_walk_matches_oracle(LAT, fib_window(), Fraction(1, 2))) == 0
+    assert assert_walk_matches_oracle(LAT, fib_window(), 1).coords == ((1, 0),)
+    narrow = Window(GOLDEN.element(Fraction(-1, 100)), GOLDEN.element(Fraction(1, 100)))
+    assert assert_walk_matches_oracle(LAT, narrow, 5).coords == ((0, 0),)
+
+
+def test_walk_matches_row_enumeration_on_random_windows():
+    rng = random.Random(20261018)
+    for trial in range(240):
+        field = QuadField(rng.choice((2, 3, 5, 7)), rng.choice(("sqrt", OMEGA_GOLDEN)))
+        window = random_window(rng, field, generic=trial % 8 != 0)
+        radius = Fraction(round(2 ** rng.uniform(-1, 10) * 8), 8)
+        assert_walk_matches_oracle(LatticeSpec(field), window, min(radius, 1000))
+
+
+def test_walk_keeps_boundary_points_far_out():
+    # Windows whose endpoints are star images of patch points near +-R: the
+    # step onto such a point lands exactly on the boundary, where rounding
+    # can put the float test on either side and the exact test decides.
+    rng = random.Random(7)
+    for trial in range(24):
+        field = QuadField((2, 3, 5, 7)[trial % 4], ("sqrt", OMEGA_GOLDEN)[trial // 4 % 2])
+        lattice = LatticeSpec(field)
+        coords = enumerate_patch(lattice, random_window(rng, field), 1000).coords
+        ends = [rng.choice(coords[:40]), rng.choice(coords[-40:])]
+        stars = sorted((star(lattice.element(*mn)), mn) for mn in ends)
+        if stars[0][0] == stars[1][0]:
+            continue
+        window = Window(stars[0][0], stars[1][0])
+        walked = assert_walk_matches_oracle(lattice, window, 1000)
+        assert set(ends) <= set(walked.coords)
+
+
 def test_tiny_radius_gives_empty_patch():
     patch = enumerate_patch(LAT, fib_window(), Fraction(1, 2))
     assert len(patch) == 0
@@ -272,6 +373,25 @@ def test_inversion_witness_empty_patch():
     assert inversion_witness(patch) is None
 
 
+def test_inversion_witness_builds_few_candidates(monkeypatch):
+    # The exact candidate wins on a window centred on the star image, so no
+    # data-derived candidate should be built, however large the patch.
+    window = Window(star(TAU) - Fraction(1, 2), star(TAU) + Fraction(1, 2))
+    element = LatticeSpec.element
+    for radius in (400, 4000):
+        patch = enumerate_patch(LAT, window, radius)
+        calls = []
+
+        def counting(self, m, n):
+            calls.append((m, n))
+            return element(self, m, n)
+
+        monkeypatch.setattr(LatticeSpec, "element", counting)
+        assert inversion_witness(patch) == -(TAU * 2)
+        monkeypatch.setattr(LatticeSpec, "element", element)
+        assert len(calls) <= 4, (radius, len(calls))
+
+
 def test_palindrome_scan_examples():
     ab = (0, 1, 0)
     scan = palindrome_scan(ab)
@@ -294,6 +414,20 @@ def test_palindrome_scan_matches_brute_force(letters):
     got = {c2: ln for c2, ln in palindrome_scan(word)}
     expected = brute_maximal_palindromes(word)
     assert got == expected
+
+
+def test_palindrome_scan_top_rows():
+    rng = random.Random(5)
+    words = [(), (0,), (1, 1), (0, 1, 0)]
+    words += [tuple(rng.randrange(k) for _ in range(rng.randint(1, 300))) for k in (1, 2, 2, 3, 4) * 12]
+    for word in words:
+        for center_range in (None, (len(word) / 4, len(word) / 2), (Fraction(3, 2), Fraction(7, 2))):
+            rows = palindrome_scan(word, center_range)
+            for top in (0, 1, 2, 7, 100, len(rows), len(rows) + 5):
+                assert palindrome_scan(word, center_range, top=top) == rows[:top]
+    assert palindrome_scan((), top=3) == []
+    with pytest.raises(ValueError):
+        palindrome_scan((0, 1), top=-1)
 
 
 def test_rs_binary_palindromes_cap_at_fourteen():
