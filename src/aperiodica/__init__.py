@@ -15,7 +15,6 @@ from .words import (
     exclusion_verdict,
     inner,
     is_palindrome,
-    palindromes_in,
 )
 from .substitution import (
     Atlas,
@@ -28,11 +27,11 @@ from .substitution import (
     atlas_by_window,
     atlas_chain,
     complexity,
-    compose,
     fibonacci_rule,
     induced_substitute,
     is_primitive,
     matrix,
+    prefix_chain,
     rule_from_dict,
     thue_morse_rule,
 )
@@ -42,6 +41,7 @@ from .rudin_shapiro import (
     block_count_a,
     equivalence_check,
     phi,
+    phi_atlas,
     quaternary_rule,
     rs_binary_prefix,
     table1,

@@ -276,12 +276,10 @@ def centro_symmetry_center(window):
 
 @dataclass(frozen=True)
 class GenericityReport:
-    """W1..W4 verdicts; ``boundary_hits`` lists endpoints lying in the
-    star image of the lattice (the W4 obstructions)."""
+    """The W4 verdict; ``boundary_hits`` lists endpoints lying in the
+    star image of the lattice (the W4 obstructions).  W1..W3 hold for
+    every :class:`Window` by construction."""
 
-    w1: bool
-    w2: bool
-    w3: bool
     w4: bool
     boundary_hits: tuple
 
@@ -294,7 +292,7 @@ def check_generic(window, lattice):
     hits = tuple(
         e for e in (window.lo, window.hi) if lattice.star_coords(e) is not None
     )
-    return GenericityReport(True, True, True, not hits, hits)
+    return GenericityReport(not hits, hits)
 
 
 def genericity_shift(window, lattice, denominator=16, max_numerator=64):
@@ -570,13 +568,13 @@ def _check_inversion(patch, t, min_overlap_points):
     if mn is None:
         return False
     tm, tn = mn
-    t_f = float(t)
     R = patch.radius
     lo = -R + (t if t.sign() > 0 else 0)
     hi = R + (t if t.sign() < 0 else 0)
     if not lo < hi:
         return False
-    lo_f, hi_f = float(lo), float(hi)
+    # Only now is |t| < 2R, so t has a float.
+    t_f, lo_f, hi_f = float(t), float(lo), float(hi)
     tol = 1e-9 * (1.0 + float(R))
     lattice = patch.lattice
     negated = set()

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-from .substitution import Atlas, FixedPointStream, SubstitutionRule, atlas_chain
+from .substitution import Atlas, FixedPointStream, SubstitutionRule, atlas_by_induction
+from .substitution import atlas_chain, prefix_chain
 from .words import Alphabet, exclusion_verdict
 
 BINARY_ALPHABET = Alphabet(("0", "1"))
@@ -64,11 +65,15 @@ def equivalence_check(length):
     return phi(quaternary_prefix(length)) == rs_binary_prefix(length)
 
 
+def phi_atlas(atlas):
+    """The letterwise phi image of a quaternary atlas."""
+    return Atlas(atlas.length, frozenset(phi(w) for w in atlas.words))
+
+
 def binary_atlas(n):
     """Length-n factors of the binary sequence, as the phi image of the
     quaternary atlas."""
-    quaternary = atlas_chain(_RULE, n)[-1]
-    return Atlas(n, frozenset(phi(w) for w in quaternary.words))
+    return phi_atlas(atlas_by_induction(_RULE, n))
 
 
 @dataclass(frozen=True)
@@ -107,19 +112,16 @@ def table1(n_max=20):
     """Factor counts and palindrome statuses for lengths 1..n_max."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    quaternary = {a.length: a.words for a in atlas_chain(_RULE, n_max)}
-    binary = {n: frozenset(phi(w) for w in words) for n, words in quaternary.items()}
+    chain = atlas_chain(_RULE, n_max)
+    quaternary = {a.length: a.words for a in chain}
+    # phi maps letter to letter, so phi(w)[:n] = phi(w[:n]).
+    binary = {a.length: a.words for a in prefix_chain(phi_atlas(chain[-1]))}
     v4, v2 = exclusion_verdict(quaternary), exclusion_verdict(binary)
     rows = [
         Table1Row(n, len(quaternary[n]), _status(v4, n), len(binary[n]), _status(v2, n))
         for n in range(1, n_max + 1)
     ]
     return Table1(rows, (v4, v2))
-
-
-def palindrome_verdicts(n_max=20):
-    """Exclusion verdicts (quaternary, binary) from atlases up to n_max."""
-    return table1(n_max).verdicts
 
 
 def golden_table1():

@@ -3,7 +3,9 @@
 The two atlas constructions, one closing a single legal word under the
 substitution induced on length-N windows and one collecting the factors
 of a growing fixed-point prefix, are two routes to the same set and are
-cross-checked in the test suite.
+cross-checked in the test suite.  The chain for lengths 1..n_max is one
+closure at n_max plus prefix sets: every factor of the one-sided fixed
+point extends to the right, so it is the prefix of a longer factor.
 """
 
 from __future__ import annotations
@@ -97,13 +99,6 @@ def apply(rule, w):
     return tuple(out)
 
 
-def compose(outer, inner_rule):
-    """The rule sending a to outer(inner_rule(a))."""
-    if outer.alphabet != inner_rule.alphabet:
-        raise ValueError("composition needs a shared alphabet")
-    return SubstitutionRule(outer.alphabet, tuple(apply(outer, img) for img in inner_rule.images))
-
-
 def matrix(rule):
     """Counting matrix: entry (i, j) is how often letter i occurs in image(j).
 
@@ -119,15 +114,6 @@ def matrix_multiply(a, b):
     return tuple(
         tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
     )
-
-
-def matrix_power(m, k):
-    if k < 1:
-        raise ValueError("power must be >= 1")
-    out = m
-    for _ in range(k - 1):
-        out = matrix_multiply(out, m)
-    return out
 
 
 def is_primitive(m):
@@ -195,8 +181,6 @@ class FixedPointStream:
 
     def __init__(self, rule, seed=None):
         seed, power = resolve_seed_and_power(rule, seed)
-        self.rule = rule
-        self.seed = seed
         images = [(a,) for a in range(len(rule.alphabet))]
         for _ in range(power):
             images = [apply(rule, w) for w in images]
@@ -219,13 +203,20 @@ def induced_substitute(rule, w):
 
     With m the image length of the first letter of ``w``, the windows at
     offsets 0..m-1 of ``rule(w)`` are returned; later offsets would
-    re-count windows produced by the remaining letters of ``w``.
+    re-count windows produced by the remaining letters of ``w``.  Those
+    windows read only the first m + N - 1 letters of the image, so letter
+    images are joined only until that many are there.
     """
     if not w:
         raise ValueError("induced substitution needs a nonempty word")
-    full = apply(rule, w)
-    m = len(rule.images[w[0]])
-    n = len(w)
+    images = rule.images
+    n, m = len(w), len(images[w[0]])
+    letters = []
+    for a in w:
+        letters += images[a]
+        if len(letters) >= m + n - 1:
+            break
+    full = tuple(letters)
     return [full[i : i + n] for i in range(m)]
 
 
@@ -243,7 +234,7 @@ class Atlas:
         return sorted(self.words)
 
 
-def _closure(rule, stream, n):
+def _closure(rule, n, seed):
     """Closure of the fixed point's length-n prefix under the induced map.
 
     Applied k times to a legal word w, the induced map yields every
@@ -251,7 +242,7 @@ def _closure(rule, stream, n):
     primitive rule and large k that stretch holds every legal word, so
     the closure is the whole length-n language.
     """
-    start = stream.prefix(n)
+    start = FixedPointStream(rule, seed).prefix(n)
     words = {start}
     todo = [start]
     while todo:
@@ -262,13 +253,28 @@ def _closure(rule, stream, n):
     return Atlas(n, frozenset(words))
 
 
+def prefix_chain(top):
+    """Atlases for lengths 1..top.length (index 0 holds length 1), each the
+    prefix set of the one above; exact when every factor extends to the
+    right, as on a one-sided fixed point and its letterwise images."""
+    chain = [top]
+    for n in range(top.length - 1, 0, -1):
+        chain.append(Atlas(n, frozenset(w[:-1] for w in chain[-1].words)))
+    chain.reverse()
+    return chain
+
+
 def atlas_chain(rule, n_max, seed=None):
-    """Atlases for every length 1..n_max (index 0 holds length 1)."""
+    """Atlases for every length 1..n_max (index 0 holds length 1).
+
+    One closure builds the length-n_max atlas and the shorter ones are its
+    prefix sets: every factor of the one-sided fixed point extends to the
+    right, so each length-n factor is the prefix of a longer one.
+    """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     require_primitive(rule)
-    stream = FixedPointStream(rule, seed)
-    return [_closure(rule, stream, n) for n in range(1, n_max + 1)]
+    return prefix_chain(_closure(rule, n_max, seed))
 
 
 def atlas_by_induction(rule, n, seed=None):
@@ -276,7 +282,7 @@ def atlas_by_induction(rule, n, seed=None):
     if n < 1:
         raise ValueError("n must be >= 1")
     require_primitive(rule)
-    return _closure(rule, FixedPointStream(rule, seed), n)
+    return _closure(rule, n, seed)
 
 
 def _ngrams(word, n):

@@ -79,14 +79,6 @@ def inner(w):
     return w[1:-1]
 
 
-def palindromes_in(atlas):
-    """The palindromic members of a set of equal-length words."""
-    atlas = set(atlas)
-    if len({len(w) for w in atlas}) > 1:
-        raise ValueError("palindromes_in() expects words of a single length")
-    return {w for w in atlas if is_palindrome(w)}
-
-
 @dataclass(frozen=True)
 class PalindromeVerdict:
     """Outcome of scanning factor sets of consecutive lengths.

@@ -1,13 +1,15 @@
 import hashlib
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
 
 from conftest import run_python
 from aperiodica import cli
-from aperiodica import rudin_shapiro
+from aperiodica import rudin_shapiro, substitution
+from aperiodica.words import Alphabet
 
 
 FIB_RULE = {"alphabet": ["a", "b"], "images": {"a": "ab", "b": "a"}, "seed": "a"}
@@ -47,6 +49,57 @@ DIGEST_CASES = [
     for radius in ("300", "2000")
 ]
 DIGESTS = Path(__file__).parent / "data" / "modelset_digests.json"
+TM_RULE = {"alphabet": ["a", "b"], "images": {"a": "ab", "b": "ba"}, "seed": "a"}
+
+
+def random_rule_payloads(letters, count, seed):
+    """Seeded primitive rules on ``letters`` letters with images of length
+    1-4 that have a growing fixed point, as rule-file payloads."""
+    alphabet = Alphabet("abcd"[:letters])
+    rng = random.Random(seed)
+    payloads = []
+    while len(payloads) < count:
+        images = {s: "".join(rng.choice(alphabet.symbols) for _ in range(rng.randint(1, 4)))
+                  for s in alphabet.symbols}
+        rule = substitution.SubstitutionRule.from_mapping(alphabet, images)
+        if substitution.is_primitive(substitution.matrix(rule)) is None:
+            continue
+        try:
+            substitution.resolve_seed_and_power(rule)
+        except ValueError:
+            continue
+        payloads.append({"alphabet": list(alphabet.symbols), "images": images})
+    return payloads
+
+
+# Exclusion-pipeline runs whose CLI output is pinned by sha256 digests in
+# data/exclusion_digests.json: atlases of Fibonacci, Thue-Morse and
+# Rudin-Shapiro by every method, their exclusion verdicts, the binary
+# Rudin-Shapiro verdict and table, and seeded random 3- and 4-letter rules.
+EXCLUSION_RULES = {"fib": FIB_RULE, "tm": TM_RULE, "rs": RS_RULE}
+EXCLUSION_RULES.update(
+    (f"random{letters}_{i}", payload)
+    for letters in (3, 4)
+    for i, payload in enumerate(random_rule_payloads(letters, 3, seed=letters))
+)
+EXCLUSION_CASES = [
+    (name, ["atlas", "-N", n, "--method", method])
+    for name in ("fib", "tm", "rs")
+    for n in ("1", "5", "12", "25")
+    for method in ("induction", "window", "both")
+]
+EXCLUSION_CASES += [
+    (name, ["exclude", "--nmax", nmax]) for name in ("fib", "tm", "rs") for nmax in ("12", "30")
+]
+EXCLUSION_CASES += [("rs", ["exclude", "--nmax", "40", "--phi"])]
+EXCLUSION_CASES += [
+    (name, ["exclude", "--nmax", "20"]) for name in EXCLUSION_RULES if name.startswith("random")
+]
+EXCLUSION_CASES += [
+    (None, ["rs-table", "--nmax", "40"]),
+    (None, ["rs-table", "--format", "tsv", "--golden"]),
+]
+EXCLUSION_DIGESTS = Path(__file__).parent / "data" / "exclusion_digests.json"
 
 
 @pytest.fixture
@@ -277,6 +330,27 @@ def test_modelset_output_bytes_are_pinned(tmp_path):
     assert got == want
 
 
+def exclusion_digest(directory, name, argv):
+    """Key and sha256 of the bytes one exclusion-corpus run writes."""
+    key = " ".join(argv)
+    out = Path(directory) / "case.out"
+    argv = [*argv, "-o", str(out)]
+    if name is not None:
+        rule = Path(directory) / f"{name}.json"
+        rule.write_text(json.dumps(EXCLUSION_RULES[name]))
+        argv[1:1] = ["--rule", str(rule)]
+        images = EXCLUSION_RULES[name]["images"]
+        key = f"{name} {','.join(images[s] for s in sorted(images))} {key}"
+    assert cli.main(argv) == 0, key
+    return key, hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def test_exclusion_output_bytes_are_pinned(tmp_path):
+    want = json.loads(EXCLUSION_DIGESTS.read_text())
+    got = dict(exclusion_digest(tmp_path, name, argv) for name, argv in EXCLUSION_CASES)
+    assert got == want
+
+
 def test_spectrum_free_case(capsys):
     code, data = run_json(capsys, ["spectrum", "--size", "3"])
     assert code == 0
@@ -390,6 +464,33 @@ def test_spectrum_tsv(capsys):
     assert code == 0
     assert out.splitlines()[0] == "E\tids"
     assert len(out.splitlines()) == 202
+
+
+def test_modelset_symmetry_with_huge_exact_candidate(files):
+    # [psi^2000 - 1/2, psi^2000 + 1/2], psi = (1 - sqrt(5)) / 2, written
+    # with 418-digit coefficients: its centre 2 psi^2000 is a star image,
+    # so the exact candidate shift -2 tau^2000 has no float, and turning it
+    # into one before testing the overlap raised OverflowError.
+    f, g = 0, 1
+    for _ in range(2000):
+        f, g = g, f + g
+    lucas = 2 * g - f
+    spec = files(
+        "huge.json",
+        {
+            "d": 5,
+            "omega": "golden",
+            "window": {
+                "lo": {"p": f"{lucas - 1}/2", "q": f"{-f}/2"},
+                "hi": {"p": f"{lucas + 1}/2", "q": f"{-f}/2"},
+            },
+        },
+    )
+    proc = run_python("-m", "aperiodica.cli", "modelset", "--spec", spec, "--action", "symmetry", "-R", "200")
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["count"] > 0
+    assert data["centro_symmetry_center"] == f"{lucas}{-f}*sqrt(5)"
 
 
 def test_output_file_and_determinism(files, capsys, tmp_path):

