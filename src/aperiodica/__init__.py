@@ -61,7 +61,6 @@ from .modelset import (
     inversion_witness,
     palindrome_scan,
     star,
-    strong_palindromicity_report,
 )
 from .spectral import (
     TransferMatrixProduct,

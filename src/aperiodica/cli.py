@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -167,7 +168,13 @@ def _load_modelset_spec(path, r_override):
 
 
 def _element_payload(lattice, z):
-    payload = {"value": _f15(z)}
+    """Exact (m, n) of a lattice element, and its float rendering or null
+    when it has no finite float."""
+    try:
+        value = float(z)
+    except OverflowError:
+        value = math.inf
+    payload = {"value": _f15(value) if math.isfinite(value) else None}
     mn = lattice.coords(z)
     if mn is not None:
         payload["m"], payload["n"] = mn
@@ -204,10 +211,9 @@ def cmd_modelset(args):
     patch = modelset.enumerate_patch(lattice, window, radius)
     if args.action == "generate":
         seq = modelset.gaps_to_letters(patch) if len(patch) >= 2 else None
+        omega = float(lattice.omega())
         payload["count"] = len(patch)
-        payload["points"] = [
-            {"m": m, "n": n, "value": _f15(v)} for (m, n), v in zip(patch.coords, patch.values)
-        ]
+        payload["points"] = [{"m": m, "n": n, "value": _f15(m + n * omega)} for m, n in patch.coords]
         if seq is not None:
             payload["legend"] = [
                 {"letter": seq.alphabet.symbols[i], **_element_payload(lattice, gap)}
@@ -217,7 +223,7 @@ def cmd_modelset(args):
         _emit(_json_text(payload), args.output)
         return 0
     if args.action == "symmetry":
-        witness = modelset.inversion_witness(patch)
+        witness = modelset.inversion_witness(window, lattice)
         payload["count"] = len(patch)
         payload["centro_symmetry_center"] = str(modelset.centro_symmetry_center(window))
         payload["inversion_witness"] = (

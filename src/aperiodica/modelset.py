@@ -3,9 +3,11 @@
 Physical and internal space are both the real line; the lattice is
 Z + Z*omega embedded through z -> (z, z~) with z~ the Galois conjugate.
 All membership, order and symmetry decisions are made in exact
-arithmetic.  Floats serve as renderings only, apart from fast paths that
-decide nothing within a tolerance band of a boundary, where an exact
-test takes over.
+arithmetic.  Global inversion symmetry is decided from the window alone;
+a patch enumerated within a radius R is a finite sample, which the gap
+and palindrome readings work on.  Floats are renderings, or fast paths
+of the walk that decide nothing within a tolerance band of a boundary,
+where an exact test takes over.
 """
 
 from __future__ import annotations
@@ -53,9 +55,6 @@ class QuadField:
 
     def element(self, p, q=0):
         return FieldElement(self.d, p, q)
-
-    def sqrt_d(self):
-        return FieldElement(self.d, 0, 1)
 
     def omega(self):
         if self.omega_style == OMEGA_SQRT:
@@ -172,9 +171,6 @@ class FieldElement:
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
-
-    def is_rational(self):
-        return self.q == 0
 
     def floor(self):
         """Exact integer floor, over the common denominator of p and q."""
@@ -295,11 +291,15 @@ def check_generic(window, lattice):
     return GenericityReport(not hits, hits)
 
 
-def genericity_shift(window, lattice, denominator=16, max_numerator=64):
-    """Smallest grid shift restoring W4, scanning k/denominator with
+SHIFT_DENOMINATOR = 16
+SHIFT_MAX_NUMERATOR = 64
+
+
+def genericity_shift(window, lattice):
+    """Smallest grid shift restoring W4, scanning k/SHIFT_DENOMINATOR with
     increasing |k|, positive first.  None when the grid is exhausted."""
-    for k in range(1, max_numerator + 1):
-        for s in (Fraction(k, denominator), Fraction(-k, denominator)):
+    for k in range(1, SHIFT_MAX_NUMERATOR + 1):
+        for s in (Fraction(k, SHIFT_DENOMINATOR), Fraction(-k, SHIFT_DENOMINATOR)):
             if check_generic(window.shift(s), lattice).w4:
                 return s
     return None
@@ -310,25 +310,21 @@ class ModelSetPatch:
     """The points of the cut-and-project set within [-R, R].
 
     ``coords`` holds exact (m, n) lattice coordinates in increasing
-    physical position, the order in which ``enumerate_patch`` walks them;
-    ``values`` are their float renderings m + n*float(omega), for display
-    and for float fast paths that defer to exact tests.
+    physical position, the order in which ``enumerate_patch`` walks them.
+    A patch is a finite sample: the inversion verdict reads the window
+    alone, and the palindrome and gap readings hold for this patch only.
     """
 
     lattice: LatticeSpec
     window: Window
     radius: Fraction
     coords: tuple
-    values: tuple
 
     def __len__(self):
         return len(self.coords)
 
     def point(self, i):
         return self.lattice.element(*self.coords[i])
-
-    def points(self):
-        return [self.lattice.element(m, n) for m, n in self.coords]
 
 
 def _floor_scaled(a, b, scale, d):
@@ -412,7 +408,7 @@ def enumerate_patch(lattice, window, radius):
         B *= 2
         first = extreme(min, -R, -R + B)
     if first is None:
-        return ModelSetPatch(lattice, window, R, (), ())
+        return ModelSetPatch(lattice, window, R, ())
     last = extreme(max, R - B, R)
     while last is None:
         B *= 2
@@ -478,9 +474,7 @@ def enumerate_patch(lattice, window, radius):
         ua += ga
         ub += gb
         coords.append((m, n))
-    omega_f = float(lattice.omega())
-    values = tuple(m + n * omega_f for m, n in coords)
-    return ModelSetPatch(lattice, window, R, tuple(coords), values)
+    return ModelSetPatch(lattice, window, R, tuple(coords))
 
 
 @dataclass(frozen=True)
@@ -515,85 +509,17 @@ def gaps_to_letters(patch):
     return GapSequence(alphabet, tuple(index[s] for s in steps), gaps)
 
 
-def inversion_witness(patch, max_shift=None, min_overlap_points=2):
-    """A lattice translation t with -patch = patch + t on the span where
-    both sides are known, or None.
+def inversion_witness(window, lattice):
+    """The lattice translation t with -L(W) = L(W) + t for the whole model
+    set L(W), or None when no such t exists.
 
-    When the window's centro-symmetry center lies in the star image of
-    the lattice an exact candidate exists and is tried first; otherwise
-    candidates are read off the data as (-z_mid) - z_j for patch points
-    z_j near the reflection of the most central point z_mid.
+    -L(W) = L(-W) and L(W) + t = L(W + t*), while -W = W - c for the
+    centre c = lo + hi.  Two closed intervals that hold the same points of
+    the dense star image are equal, so t exists exactly when t* = -c, that is
+    when c lies in the star image, and then t = -from_star(c).
     """
-    if len(patch) == 0:
-        return None
-    seen = set()
-    for t in _inversion_candidates(patch, max_shift):
-        key = (t.p, t.q)
-        if key in seen:
-            continue
-        seen.add(key)
-        if _check_inversion(patch, t, min_overlap_points):
-            return t
-    return None
-
-
-def _inversion_candidates(patch, max_shift):
-    """The candidates of ``inversion_witness`` in the order they are tried,
-    each built only when the search reaches it."""
-    lattice = patch.lattice
-    exact = lattice.from_star(centro_symmetry_center(patch.window))
-    if exact is not None:
-        yield -exact
-    if len(patch) < 2:
-        return
-    values = patch.values
-    mid = min(range(len(values)), key=lambda i: abs(values[i]))
-    mirror = -values[mid]
-    cap = float(patch.radius) / 2 if max_shift is None else float(max_shift)
-    mm, nm = patch.coords[mid]
-    data = []
-    for (m, n), v in zip(patch.coords, values):
-        shift = -mirror - v
-        if abs(shift) <= cap:
-            data.append((abs(shift), (-mm - m, -nm - n)))
-    data.sort()
-    for _, mn in data:
-        yield lattice.element(*mn)
-
-
-def _check_inversion(patch, t, min_overlap_points):
-    """Exact set comparison of -patch and patch + t on the overlap where
-    both sides are fully determined by the data."""
-    mn = patch.lattice.coords(t)
-    if mn is None:
-        return False
-    tm, tn = mn
-    R = patch.radius
-    lo = -R + (t if t.sign() > 0 else 0)
-    hi = R + (t if t.sign() < 0 else 0)
-    if not lo < hi:
-        return False
-    # Only now is |t| < 2R, so t has a float.
-    t_f, lo_f, hi_f = float(t), float(lo), float(hi)
-    tol = 1e-9 * (1.0 + float(R))
-    lattice = patch.lattice
-    negated = set()
-    shifted = set()
-    for (m, n), v in zip(patch.coords, patch.values):
-        if _overlap_member(lattice, -m, -n, -v, lo, hi, lo_f, hi_f, tol):
-            negated.add((-m, -n))
-        if _overlap_member(lattice, m + tm, n + tn, v + t_f, lo, hi, lo_f, hi_f, tol):
-            shifted.add((m + tm, n + tn))
-    return len(negated) >= min_overlap_points and negated == shifted
-
-
-def _overlap_member(lattice, m, n, value_f, lo, hi, lo_f, hi_f, tol):
-    if lo_f + tol < value_f < hi_f - tol:
-        return True
-    if value_f < lo_f - tol or value_f > hi_f + tol:
-        return False
-    z = lattice.element(m, n)
-    return not (z < lo) and not (hi < z)
+    c = lattice.from_star(centro_symmetry_center(window))
+    return None if c is None else -c
 
 
 def _manacher(word):
@@ -625,28 +551,20 @@ def _manacher(word):
     return d1, d2
 
 
-def palindrome_scan(word, center_range=None, top=None):
+def palindrome_scan(word, top=None):
     """Maximal palindromic factors as (doubled_center, length) pairs.
 
     A factor occupying positions i..j is centered at (i + j) / 2; centers
     are reported doubled so half-integers stay exact.  Results are sorted
-    by length descending, then by center.  ``center_range`` is an
-    inclusive (lo, hi) filter on the (undoubled) center.  ``top`` keeps
-    the first ``top`` rows: a length histogram finds the top-th length,
-    and only rows at least that long are built and sorted.
+    by length descending, then by center.  ``top`` keeps the first ``top``
+    rows: a length histogram finds the top-th length, and only rows at
+    least that long are built and sorted.
     """
     if top is not None and top < 0:
         raise ValueError(f"top must be non-negative, got {top}")
     d1, d2 = _manacher(word)
     # Odd row i has center 2i and length 2*d1[i] - 1; even row i has center
     # 2i - 1 and length 2*d2[i], and exists when d2[i] > 0.
-    n = len(word)
-    odd = even = range(n)
-    if center_range is not None:
-        c_lo, c_hi = math.ceil(2 * center_range[0]), math.floor(2 * center_range[1])
-        odd = range(max(0, (c_lo + 1) // 2), min(n, c_hi // 2 + 1))
-        even = range(max(0, (c_lo + 2) // 2), min(n, (c_hi + 1) // 2 + 1))
-        d1, d2 = d1[odd.start : odd.stop], d2[even.start : even.stop]
     shortest = 1
     if top is not None:
         lengths = Counter({2 * r - 1: count for r, count in Counter(d1).items()})
@@ -657,27 +575,8 @@ def palindrome_scan(word, center_range=None, top=None):
             if kept >= top:
                 break
     r_odd, r_even = (shortest + 2) // 2, max(1, (shortest + 1) // 2)
-    out = [(2 * i, 2 * r - 1) for i, r in zip(odd, d1) if r >= r_odd]
-    out += [(2 * i - 1, 2 * r) for i, r in zip(even, d2) if r >= r_even]
+    out = [(2 * i, 2 * r - 1) for i, r in enumerate(d1) if r >= r_odd]
+    out += [(2 * i - 1, 2 * r) for i, r in enumerate(d2) if r >= r_even]
     out.sort(key=lambda t: (-t[1], t[0]))
     return out[:top]
 
-
-def strong_palindromicity_report(palindromes, growth_rate):
-    """Diagnostic ratios exp(B * |center|) / length for recorded palindromes.
-
-    Purely descriptive: a finite list can suggest but never certify the
-    vanishing of the ratios.
-    """
-    if growth_rate <= 0:
-        raise ValueError("growth rate B must be positive")
-    rows = []
-    for c2, length in palindromes:
-        center = abs(c2) / 2.0
-        try:
-            ratio = math.exp(growth_rate * center) / length
-        except OverflowError:
-            ratio = math.inf
-        rows.append((c2, length, ratio))
-    rows.sort(key=lambda t: (abs(t[0]), -t[1]))
-    return rows

@@ -164,26 +164,28 @@ def test_genericity_checks():
 def test_symmetry_and_palindromicity():
     field, lattice, window = _fibonacci_setup()
     tau = field.omega()
-    sym_windows = [
-        ms.Window(field.element(Fraction(-1, 2)), field.element(Fraction(1, 2))),
-        ms.Window(tau.conjugate() - Fraction(1, 2), tau.conjugate() + Fraction(1, 2)),
-        window,
+    # (window, exact inversion shift t with -L = L + t, or None for none)
+    cases = [
+        (ms.Window(field.element(Fraction(-1, 2)), field.element(Fraction(1, 2))), field.element(0)),
+        (ms.Window(tau.conjugate() - Fraction(1, 2), tau.conjugate() + Fraction(1, 2)), -2 * tau),
+        (window, None),
     ]
-    witnesses_found = True
-    for w in sym_windows:
-        if not ms.check_generic(w, lattice).w4:
-            witnesses_found = False
-            continue
-        patch = ms.enumerate_patch(lattice, w, 400)
-        if ms.inversion_witness(patch) is None:
-            witnesses_found = False
-    big = ms.gaps_to_letters(ms.enumerate_patch(lattice, window, 120000))
-    long_enough = len(big.letters) >= 100000
-    longest = ms.palindrome_scan(big.letters, top=1)[0][1]
+    generic = all(ms.check_generic(w, lattice).w4 for w, _ in cases)
+    verdicts_ok = [ms.inversion_witness(w, lattice) for w, _ in cases] == [t for _, t in cases]
+    # Factors extend to the right, so closure under reversal at length 40
+    # gives it at every shorter length.
+    words = [ms.gaps_to_letters(ms.enumerate_patch(lattice, w, 120000)).letters for w, _ in cases]
+    factor_sets = [{word[i : i + 40] for i in range(len(word) - 39)} for word in words]
+    reversal_closed = all({f[::-1] for f in factors} == factors for factors in factor_sets)
+    big = words[-1]
+    long_enough = len(big) >= 100000
+    longest = ms.palindrome_scan(big, top=1)[0][1]
     criterion(
         "symmetry-palindromicity",
-        witnesses_found and long_enough and longest >= 2000,
-        f"witnesses for 3 generic windows; max palindrome {longest} in {len(big.letters)} letters",
+        generic and verdicts_ok and reversal_closed and long_enough and longest >= 2000,
+        "exact t = 0, -2tau and none for 3 generic windows; length-40 factors of each "
+        f"R=120000 gap word closed under reversal (a finite check); max palindrome "
+        f"{longest} in {len(big)} letters",
     )
 
 

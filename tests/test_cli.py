@@ -308,7 +308,7 @@ def test_modelset_window_object_endpoints(files, capsys):
     )
     code, data = run_json(capsys, ["modelset", "--spec", spec, "--action", "symmetry"])
     assert code == 0
-    assert data["inversion_witness"] is not None
+    assert data["inversion_witness"] == {"m": 0, "n": -2, "value": "-3.23606797749979"}
 
 
 def modelset_digest(directory, name, action, radius):
@@ -469,8 +469,8 @@ def test_spectrum_tsv(capsys):
 def test_modelset_symmetry_with_huge_exact_candidate(files):
     # [psi^2000 - 1/2, psi^2000 + 1/2], psi = (1 - sqrt(5)) / 2, written
     # with 418-digit coefficients: its centre 2 psi^2000 is a star image,
-    # so the exact candidate shift -2 tau^2000 has no float, and turning it
-    # into one before testing the overlap raised OverflowError.
+    # so the exact shift is t = -2 tau^2000 = -2 F_1999 - 2 F_2000 tau,
+    # which has no float; the patch at R = 200 knows nothing of it.
     f, g = 0, 1
     for _ in range(2000):
         f, g = g, f + g
@@ -491,6 +491,19 @@ def test_modelset_symmetry_with_huge_exact_candidate(files):
     data = json.loads(proc.stdout)
     assert data["count"] > 0
     assert data["centro_symmetry_center"] == f"{lucas}{-f}*sqrt(5)"
+    assert data["inversion_witness"] == {"m": -2 * (g - f), "n": -2 * f, "value": None}
+
+
+def test_modelset_symmetry_paper_window_has_no_witness(files, capsys):
+    # lo + hi = 5/3 is not a star image, so no lattice shift mirrors the
+    # model set at any radius, although finite patches agree with shifted
+    # mirror images on long stretches.
+    spec = files("fib.json", FIB_SPEC)
+    for radius in ("1000", "2000", "4000"):
+        code, data = run_json(capsys, ["modelset", "--spec", spec, "--action", "symmetry", "-R", radius])
+        assert code == 0
+        assert data["centro_symmetry_center"] == "5/3"
+        assert data["inversion_witness"] is None, radius
 
 
 def test_output_file_and_determinism(files, capsys, tmp_path):

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,6 @@ from aperiodica.modelset import (
     inversion_witness,
     palindrome_scan,
     star,
-    strong_palindromicity_report,
 )
 from aperiodica.modelset import _row_points
 from aperiodica.rudin_shapiro import rs_binary_prefix
@@ -159,12 +159,11 @@ def test_patch_points_satisfy_window_exactly():
     patch = enumerate_patch(LAT, fib_window(), 50)
     window = fib_window()
     assert len(patch) > 0
-    for i in range(len(patch)):
-        z = patch.point(i)
+    points = [patch.point(i) for i in range(len(patch))]
+    for z in points:
         assert window.contains(star(z))
         assert not (z < -Fraction(50)) and not (Fraction(50) < z)
-    values = patch.values
-    assert list(values) == sorted(values)
+    assert all(a < b for a, b in zip(points, points[1:]))
 
 
 def test_patch_subset_monotonicity():
@@ -181,16 +180,13 @@ def oracle_patch(lattice, window, radius):
     R = Fraction(radius)
     rows = _row_points(lattice, window.lo, window.hi, -R, R)
     coords = tuple(sorted(rows, key=lambda mn: lattice.element(*mn)))
-    omega_f = float(lattice.omega())
-    values = tuple(m + n * omega_f for m, n in coords)
-    return ModelSetPatch(lattice, window, R, coords, values)
+    return ModelSetPatch(lattice, window, R, coords)
 
 
 def assert_walk_matches_oracle(lattice, window, radius):
     walked = enumerate_patch(lattice, window, radius)
     oracle = oracle_patch(lattice, window, radius)
     assert walked.coords == oracle.coords
-    assert walked.values == oracle.values
     if len(oracle) >= 2:
         assert gaps_to_letters(walked) == gaps_to_letters(oracle)
     return walked
@@ -303,14 +299,12 @@ def test_gap_legend_stable_under_doubling_radius():
 
 
 def test_single_gap_patch_gives_constant_word():
-    patch = ModelSetPatch(
-        LAT, fib_window(), Fraction(10), ((0, 0), (1, 0), (2, 0), (3, 0)), (0.0, 1.0, 2.0, 3.0)
-    )
+    patch = ModelSetPatch(LAT, fib_window(), Fraction(10), ((0, 0), (1, 0), (2, 0), (3, 0)))
     seq = gaps_to_letters(patch)
     assert len(seq.gaps) == 1
     assert seq.letters == (0, 0, 0)
     with pytest.raises(ValueError):
-        gaps_to_letters(ModelSetPatch(LAT, fib_window(), Fraction(10), ((0, 0),), (0.0,)))
+        gaps_to_letters(ModelSetPatch(LAT, fib_window(), Fraction(10), ((0, 0),)))
 
 
 def test_derived_sequence_factors_match_fibonacci_atlas():
@@ -346,50 +340,76 @@ def test_repetitivity_proxy():
 def test_inversion_witness_symmetric_rational_window():
     window = Window(GOLDEN.element(Fraction(-1, 2)), GOLDEN.element(Fraction(1, 2)))
     assert check_generic(window, LAT).w4
-    patch = enumerate_patch(LAT, window, 400)
-    assert inversion_witness(patch) == GOLDEN.element(0)
+    assert inversion_witness(window, LAT) == GOLDEN.element(0)
 
 
 def test_inversion_witness_symmetric_irrational_window():
     center = star(TAU)
     window = Window(center - Fraction(1, 2), center + Fraction(1, 2))
     assert check_generic(window, LAT).w4
-    patch = enumerate_patch(LAT, window, 400)
-    witness = inversion_witness(patch)
-    assert witness == -(TAU * 2)
+    assert inversion_witness(window, LAT) == -(TAU * 2)
 
 
 def test_inversion_witness_generic_fibonacci_window():
-    patch = enumerate_patch(LAT, fib_window(), 400)
-    witness = inversion_witness(patch)
-    assert witness is not None
-    # any valid finite witness must shift the window close onto its mirror
-    drift = star(witness) + centro_symmetry_center(fib_window())
-    assert abs(drift) < fib_window().length()
+    # lo + hi = 5/3 is not a star image, so no translate of the model set
+    # is its mirror image, whatever a finite patch of it may suggest.
+    assert centro_symmetry_center(fib_window()) == GOLDEN.element(Fraction(5, 3))
+    assert inversion_witness(fib_window(), LAT) is None
 
 
 def test_inversion_witness_empty_patch():
-    patch = enumerate_patch(LAT, fib_window(), Fraction(1, 2))
-    assert inversion_witness(patch) is None
+    # The verdict is the whole model set's: a patch holding no point at
+    # all does not change it.
+    window = Window(GOLDEN.element(Fraction(11, 4)), GOLDEN.element(Fraction(13, 4)))
+    assert len(enumerate_patch(LAT, window, Fraction(1, 2))) == 0
+    assert inversion_witness(window, LAT) == GOLDEN.element(-6)
 
 
-def test_inversion_witness_builds_few_candidates(monkeypatch):
-    # The exact candidate wins on a window centred on the star image, so no
-    # data-derived candidate should be built, however large the patch.
-    window = Window(star(TAU) - Fraction(1, 2), star(TAU) + Fraction(1, 2))
-    element = LatticeSpec.element
-    for radius in (400, 4000):
-        patch = enumerate_patch(LAT, window, radius)
-        calls = []
+def overlap_sets(patch, shift):
+    """Exact (m, n) sets of -patch and of patch + t on [lo, hi], the span
+    [-R, R] and [-R + t, R + t] where both are fully known.  The patch is
+    in increasing order, so each set is one run of it, found by bisection."""
+    lattice, R = patch.lattice, patch.radius
+    tm, tn = shift
+    t = lattice.element(tm, tn)
+    lo, hi = max(-R, -R + t), min(R, R + t)
 
-        def counting(self, m, n):
-            calls.append((m, n))
-            return element(self, m, n)
+    def position(mn):
+        return lattice.element(*mn)
 
-        monkeypatch.setattr(LatticeSpec, "element", counting)
-        assert inversion_witness(patch) == -(TAU * 2)
-        monkeypatch.setattr(LatticeSpec, "element", element)
-        assert len(calls) <= 4, (radius, len(calls))
+    def run(a, b):
+        coords = patch.coords
+        return coords[bisect_left(coords, a, key=position) : bisect_right(coords, b, key=position)]
+
+    negated = {(-m, -n) for m, n in run(-hi, -lo)}
+    shifted = {(m + tm, n + tn) for m, n in run(lo - t, hi - t)}
+    return negated, shifted
+
+
+def test_inversion_witness_is_exact_on_random_windows():
+    # Windows with lo + hi = star(z) are mirrored by t = -z, checked on the
+    # R = 300 overlap; moving lo + hi off star(z) by a non-integer rational
+    # leaves the star image, and then no t exists.
+    rng = random.Random(20261019)
+    for trial in range(240):
+        field = QuadField((2, 3, 5, 7)[trial // 2 % 4], ("sqrt", OMEGA_GOLDEN)[trial // 8 % 2])
+        lattice = LatticeSpec(field)
+        z = lattice.element(rng.randint(-6, 6), rng.randint(-6, 6))
+        width = abs(field.element(
+            Fraction(rng.randint(1, 60), rng.randint(10, 20)),
+            Fraction(rng.randint(-1, 1), rng.randint(5, 9)),
+        ))
+        window = Window((star(z) - width) / 2, (star(z) + width) / 2)
+        if trial % 2:
+            off = Fraction(rng.choice((-1, 1)) * rng.randint(1, 40), rng.randint(2, 9))
+            if off.denominator == 1:
+                off += Fraction(1, 2)
+            assert inversion_witness(window.shift(off / 2), lattice) is None
+            continue
+        t = inversion_witness(window, lattice)
+        assert t == -z
+        negated, shifted = overlap_sets(enumerate_patch(lattice, window, 300), lattice.coords(t))
+        assert negated and negated == shifted
 
 
 def test_palindrome_scan_examples():
@@ -398,14 +418,6 @@ def test_palindrome_scan_examples():
     assert scan[0] == (2, 3)
     assert (1, 2) not in scan  # "ab" is not an even palindrome
     assert palindrome_scan(()) == []
-
-
-def test_palindrome_scan_center_range():
-    word = (0, 0, 1, 0, 0)
-    everything = palindrome_scan(word)
-    limited = palindrome_scan(word, center_range=(2, 2))
-    assert all(c2 == 4 for c2, _ in limited)
-    assert set(limited) <= set(everything)
 
 
 @given(st.lists(st.integers(0, 2), min_size=1, max_size=40))
@@ -421,10 +433,9 @@ def test_palindrome_scan_top_rows():
     words = [(), (0,), (1, 1), (0, 1, 0)]
     words += [tuple(rng.randrange(k) for _ in range(rng.randint(1, 300))) for k in (1, 2, 2, 3, 4) * 12]
     for word in words:
-        for center_range in (None, (len(word) / 4, len(word) / 2), (Fraction(3, 2), Fraction(7, 2))):
-            rows = palindrome_scan(word, center_range)
-            for top in (0, 1, 2, 7, 100, len(rows), len(rows) + 5):
-                assert palindrome_scan(word, center_range, top=top) == rows[:top]
+        rows = palindrome_scan(word)
+        for top in (0, 1, 2, 7, 100, len(rows), len(rows) + 5):
+            assert palindrome_scan(word, top=top) == rows[:top]
     assert palindrome_scan((), top=3) == []
     with pytest.raises(ValueError):
         palindrome_scan((0, 1), top=-1)
@@ -444,12 +455,3 @@ def test_model_set_palindromes_grow():
     best = palindrome_scan(seq.letters)[0][1]
     assert best >= len(seq.letters) / 50
 
-
-def test_strong_palindromicity_report():
-    rows = strong_palindromicity_report([(0, 5)], 0.3)
-    assert rows == [(0, 5, pytest.approx(0.2))]
-    assert strong_palindromicity_report([], 1.0) == []
-    with pytest.raises(ValueError):
-        strong_palindromicity_report([(0, 5)], 0)
-    big = strong_palindromicity_report([(10**6, 3)], 1.0)
-    assert big[0][2] == float("inf")
