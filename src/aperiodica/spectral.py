@@ -6,6 +6,13 @@ sections cannot certify the spectral type of the infinite operator;
 everything here is a finite-size observable: eigenvalues by Sturm
 counting with safeguarded Newton steps, the integrated density of
 states, and transfer matrix products with overflow-safe renormalization.
+A minimal potential has few distinct factors (n + 1 of length n if
+Sturmian, 8n - 8 for Rudin-Shapiro), so a transfer product builds each
+distinct aligned 32-letter block once and applies it by one 2x2 multiply,
+stepping unseen blocks on the running product once 1024 are kept.  Its
+renormalization keeps every step finite (|E - coupling * x| >= 2^900
+included); each entry is within 4 n 2^-52 ||M|| of the exact product M in
+the hyperbolic regime and in the bounded one away from band edges.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from dataclasses import dataclass
 
 BOUNDARY_DIRICHLET = "dirichlet"
 BOUNDARY_NEUMANN = "neumann"
+_BLOCK, _TABLE = 32, 1024  # transfer products: letters per block, distinct blocks kept per call
 
 
 @dataclass(frozen=True)
@@ -45,9 +53,7 @@ def build_finite(potential, values, coupling, window=None, boundary=BOUNDARY_DIR
     hop onto the two end diagonal entries, which keeps the section
     tridiagonal and exposes boundary sensitivity.
     """
-    if window is None:
-        window = (0, len(potential))
-    start, stop = window
+    start, stop = (0, len(potential)) if window is None else window
     if not (0 <= start <= stop <= len(potential)):
         raise ValueError("window must lie within the potential sequence")
     if stop == start:
@@ -97,12 +103,6 @@ def sturm_count(op, x):
     return _sturm(op.diagonal, x)[0]
 
 
-def _bounds(op):
-    lo = min(op.diagonal) - 2.0
-    hi = max(op.diagonal) + 2.0
-    return lo, hi
-
-
 def eigenvalues(op, tol=1e-12):
     """All eigenvalues, ascending, each the midpoint of a bracket [a, b]
     with sturm_count(a) <= k < sturm_count(b) and b - a <= tol, or a and
@@ -124,7 +124,7 @@ def eigenvalues(op, tol=1e-12):
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tolerance must be positive and finite")
     diagonal = op.diagonal
-    lo, hi = _bounds(op)
+    lo, hi = min(diagonal) - 2.0, max(diagonal) + 2.0
     # Every probe so far, ascending, with its Sturm count; the bounds
     # count 0 and n without a pass.
     xs, counts = [lo, hi], [0, op.size]
@@ -209,26 +209,51 @@ class TransferMatrixProduct:
         return (self.scale_pow2 * math.log(2.0) + math.log(norm)) / self.count
 
 
+def _steps(a, b, c, d, scale, letters, factor, hi):
+    """Left-multiply by [[factor[x], -1], [1, 0]] per letter x; renormalize outside [2^-100, hi]."""
+    for x in letters:
+        v = factor[x]
+        a, b, c, d = v * a - c, v * b - d, a, b
+        big = max(abs(a), abs(b), abs(c), abs(d))
+        if big > hi or (big != 0.0 and big < 2.0 ** -100):
+            e = math.frexp(big)[1]
+            a, b, c, d = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(c, -e), math.ldexp(d, -e)
+            scale += e
+    return a, b, c, d, scale
+
+
 def transfer_product(energy, potential, values, coupling, window=None):
     """Accumulate the transfer matrices of the window left to right.
 
     The product maps (u_n, u_{n-1}) to (u_{n+1}, u_n) across the window;
-    an empty window gives the identity.
+    an empty window gives the identity.  Energy, coupling and each factor
+    E - coupling * value must be finite; blocks: see the module docstring.
     """
-    if window is None:
-        window = (0, len(potential))
-    start, stop = window
+    start, stop = (0, len(potential)) if window is None else window
     if not (0 <= start <= stop <= len(potential)):
         raise ValueError("window must lie within the potential sequence")
-    vals = dict(values)
-    a, b, c, d = 1.0, 0.0, 0.0, 1.0
-    scale = 0
-    for i in range(start, stop):
-        v = energy - coupling * vals[potential[i]]
-        a, b, c, d = v * a - c, v * b - d, a, b
-        big = max(abs(a), abs(b), abs(c), abs(d))
-        if big > 2.0 ** 100 or (big != 0.0 and big < 2.0 ** -100):
-            e = math.frexp(big)[1]
-            a, b, c, d = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(c, -e), math.ldexp(d, -e)
+    factor = {x: energy - coupling * v for x, v in dict(values).items()}
+    if not all(map(math.isfinite, (energy, coupling, *factor.values()))):
+        raise ValueError("energy, coupling and E - coupling * value must be finite")
+    hi = 2.0 ** 100 if max(map(abs, factor.values()), default=0.0) < 2.0 ** 900 else 1.0
+    blocks = {}
+    a, b, c, d, scale = 1.0, 0.0, 0.0, 1.0, 0
+    try:
+        for i in range(start, stop, _BLOCK):
+            key = tuple(potential[i : min(i + _BLOCK, stop)])
+            block = blocks.get(key)
+            if block is None:
+                if len(blocks) >= _TABLE:
+                    a, b, c, d, scale = _steps(a, b, c, d, scale, key, factor, hi)
+                    continue
+                block = blocks[key] = _steps(1.0, 0.0, 0.0, 1.0, 0, key, factor, hi)
+            p, q, r, s, e = block
+            a, b, c, d = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
+            big = max(abs(a), abs(b), abs(c), abs(d))
+            if big > hi or (big != 0.0 and big < 2.0 ** -100):
+                g = math.frexp(big)[1]
+                a, b, c, d, e = *(math.ldexp(x, -g) for x in (a, b, c, d)), e + g
             scale += e
+    except KeyError as exc:
+        raise ValueError(f"no value assigned to letter {exc}") from None
     return TransferMatrixProduct(energy, start, stop, ((a, b), (c, d)), scale)

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -263,15 +264,148 @@ def test_transfer_determinants_bounded_regime():
         assert t.determinant_error() <= 1e-12
 
 
+def decimal_product(energy, word, values, coupling):
+    """Entries (a, b, c, d) of the product of [[E - coupling * x, -1], [1, 0]]
+    over ``word``, left to right, in 60-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = 60, MAX_EMAX, MIN_EMIN
+        factor = {x: Decimal(energy) - Decimal(coupling) * Decimal(v) for x, v in values.items()}
+        a, b, c, d = Decimal(1), Decimal(0), Decimal(0), Decimal(1)
+        for x in word:
+            v = factor[x]
+            a, b, c, d = v * a - c, v * b - d, a, b
+        return a, b, c, d
+
+
+def assert_matches_oracle(t, energy, potential, values, coupling):
+    """Every entry of 2**scale_pow2 * matrix lies within 4 n 2^-52 ||M|| of
+    the oracle's product M (max-norm) over the product's window."""
+    n = t.count
+    want = decimal_product(energy, potential[t.start : t.stop], values, coupling)
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = 60, MAX_EMAX, MIN_EMIN
+        scale = Decimal(2) ** t.scale_pow2
+        got = [Decimal(x) * scale for row in t.matrix for x in row]
+        norm = max(abs(w) for w in want)
+        worst = max(abs(g - w) for g, w in zip(got, want))
+        assert worst <= 4 * n * Decimal(2) ** -52 * norm, (float(worst / norm), n)
+
+
+def random_word(seed, letters, n):
+    """Seeded random word over range(letters), as a list."""
+    rng = random.Random(seed)
+    return [rng.randrange(letters) for _ in range(n)]
+
+
+ORACLE_LENGTH = 2000
+ORACLE_WORDS = {
+    "fibonacci": (fib_prefix(ORACLE_LENGTH), FIB_VALUES),
+    "rudin-shapiro": (quaternary_prefix(ORACLE_LENGTH), {0: -0.7, 1: 0.2, 2: 0.55, 3: 1.0}),
+    # lists, not tuples: the blocks of a list potential are sliced too
+    "random2": (random_word(2, 2, ORACLE_LENGTH), {0: 0.25, 1: -0.5}),
+    "random4": (random_word(4, 4, ORACLE_LENGTH), {0: -1.0, 1: -0.3, 2: 0.4, 3: 0.9}),
+}
+# (energy, coupling): bounded with coupling 0 and |E| < 2, then hyperbolic
+# with every factor E - coupling * x beyond +-2.5.
+ORACLE_REGIMES = ((1.37, 0.0), (-0.6, 0.0), (3.5, 1.0), (-3.5, 1.0))
+# Whole word, offsets and lengths off the 32-letter blocks, an empty
+# window and one shorter than a block.
+ORACLE_WINDOWS = (None, (5, ORACLE_LENGTH - 7), (37, 37), (100, 119), (3, 1003))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_WORDS))
+def test_transfer_product_matches_decimal_oracle(name):
+    word, values = ORACLE_WORDS[name]
+    for energy, coupling in ORACLE_REGIMES:
+        for window in ORACLE_WINDOWS:
+            t = transfer_product(energy, word, values, coupling, window)
+            assert t.count == (len(word) if window is None else window[1] - window[0])
+            assert_matches_oracle(t, energy, word, values, coupling)
+
+
+def test_transfer_product_past_the_block_table(monkeypatch):
+    # 40000 random letters hold more than 1024 distinct 32-letter blocks,
+    # so the last ones are stepped on the running product.
+    word = tuple(random_word(40, 4, 40000))
+    values = {0: -1.0, 1: -0.3, 2: 0.4, 3: 0.9}
+    starts = []  # per step run: whether it starts from the identity
+    steps = spectral._steps
+
+    def recorded(a, b, c, d, scale, *rest):
+        starts.append((a, b, c, d, scale) == (1.0, 0.0, 0.0, 1.0, 0))
+        return steps(a, b, c, d, scale, *rest)
+
+    monkeypatch.setattr(spectral, "_steps", recorded)
+    for energy, coupling in ((1.37, 0.0), (3.5, 1.0)):
+        starts.clear()
+        t = transfer_product(energy, word, values, coupling, (11, 39990))
+        assert_matches_oracle(t, energy, word, values, coupling)
+        # every block is a table entry built from the identity until the
+        # table is full; the rest are stepped on the running product
+        assert starts == [True] * spectral._TABLE + [False] * (len(starts) - spectral._TABLE)
+        assert len(starts) == -(-t.count // spectral._BLOCK)
+    # A table of three blocks mixes reused and stepped blocks on one word.
+    monkeypatch.setattr(spectral, "_TABLE", 3)
+    word = fib_prefix(3000)
+    for energy, coupling in ((1.37, 0.0), (0.2, 0.3), (3.5, 1.0)):
+        t = transfer_product(energy, word, FIB_VALUES, coupling, (7, 2990))
+        assert_matches_oracle(t, energy, word, FIB_VALUES, coupling)
+
+
+@pytest.mark.parametrize(
+    "values, energy, coupling",
+    [
+        ({0: 0.0, 1: 1e300}, 0.5, 1.0),
+        ({0: -1e300, 1: 1e300}, 0.0, 1.0),
+        # A factor of 1e10 lifts the entries to about 2^33 without a
+        # renormalization; the next factor of 1e300 then overflowed.
+        ({0: 1e10, 1: 1e300}, 0.0, -1.0),
+    ],
+)
+def test_transfer_product_with_huge_factors(values, energy, coupling):
+    word, _ = ORACLE_WORDS["random2"]
+    t = transfer_product(energy, word, values, coupling, (3, 404))
+    assert_matches_oracle(t, energy, word, values, coupling)
+
+
 def test_transfer_growth_in_hyperbolic_regime():
-    t = transfer_product(10.0, fib_prefix(2000), FIB_VALUES, 2.0)
+    word = fib_prefix(2000)
+    t = transfer_product(10.0, word, FIB_VALUES, 2.0)
     assert t.scale_pow2 > 0
     assert t.growth_rate() > 1.0
-    # growth estimate matches the explicit eigenvalue of the constant map
-    # [[10 - v, -1], [1, 0]] only loosely; just require finiteness
-    assert math.isfinite(t.growth_rate())
+    # log of the oracle's max-norm per factor
+    with localcontext() as ctx:
+        ctx.prec = 60
+        norm = max(abs(x) for x in decimal_product(10.0, word, FIB_VALUES, 2.0))
+        want = float(norm.ln() / len(word))
+    assert abs(t.growth_rate() - want) <= 1e-12
 
 
 def test_transfer_window_validation():
     with pytest.raises(ValueError):
         transfer_product(0.0, (0, 0), {0: 0.0}, 1.0, (0, 5))
+
+
+@pytest.mark.parametrize(
+    "energy, values, coupling",
+    [
+        (math.nan, {0: 0.0, 1: 1.0}, 1.0),
+        (math.inf, {0: 0.0, 1: 1.0}, 1.0),
+        (0.5, {0: 0.0, 1: 1.0}, math.nan),
+        (0.5, {0: 0.0, 1: 1.0}, -math.inf),
+        (0.5, {0: 0.0, 1: math.nan}, 1.0),
+        (0.5, {0: 0.0, 1: math.inf}, 0.0),
+        # finite values whose factors E - coupling * x overflow
+        (0.5, {0: -1e300, 1: 1e300}, 1e10),
+    ],
+)
+def test_transfer_product_rejects_non_finite_input(energy, values, coupling):
+    with pytest.raises(ValueError, match="must be finite"):
+        transfer_product(energy, fib_prefix(100), values, coupling)
+
+
+def test_transfer_product_rejects_unassigned_letter():
+    with pytest.raises(ValueError, match="no value assigned to letter 2"):
+        transfer_product(0.5, (0, 1, 2, 0), {0: 0.0, 1: 1.0}, 1.0)
+    with pytest.raises(ValueError, match="no value assigned to letter 'b'"):
+        transfer_product(0.5, "a" * 40 + "b", {"a": 0.0}, 1.0)
