@@ -157,7 +157,7 @@ def _parse_field_value(field, raw):
 
 def _load_modelset_spec(path, r_override):
     data = _load_json(path)
-    field = modelset.QuadField(int(data["d"]), data.get("omega", modelset.OMEGA_SQRT))
+    field = modelset.QuadField(data["d"], data.get("omega", modelset.OMEGA_SQRT))
     lattice = modelset.LatticeSpec(field)
     window = modelset.Window(
         _parse_field_value(field, data["window"]["lo"]),
@@ -167,14 +167,20 @@ def _load_modelset_spec(path, r_override):
     return lattice, window, radius
 
 
+def _f15_or_none(render):
+    """The float ``render()`` returns, formatted, or None when it has no
+    finite float."""
+    try:
+        value = render()
+    except OverflowError:
+        return None
+    return _f15(value) if math.isfinite(value) else None
+
+
 def _element_payload(lattice, z):
     """Exact (m, n) of a lattice element, and its float rendering or null
     when it has no finite float."""
-    try:
-        value = float(z)
-    except OverflowError:
-        value = math.inf
-    payload = {"value": _f15(value) if math.isfinite(value) else None}
+    payload = {"value": _f15_or_none(z.__float__)}
     mn = lattice.coords(z)
     if mn is not None:
         payload["m"], payload["n"] = mn
@@ -213,7 +219,9 @@ def cmd_modelset(args):
         seq = modelset.gaps_to_letters(patch) if len(patch) >= 2 else None
         omega = float(lattice.omega())
         payload["count"] = len(patch)
-        payload["points"] = [{"m": m, "n": n, "value": _f15(m + n * omega)} for m, n in patch.coords]
+        payload["points"] = [
+            {"m": m, "n": n, "value": _f15_or_none(lambda: m + n * omega)} for m, n in patch.coords
+        ]
         if seq is not None:
             payload["legend"] = [
                 {"letter": seq.alphabet.symbols[i], **_element_payload(lattice, gap)}

@@ -5,9 +5,10 @@ Z + Z*omega embedded through z -> (z, z~) with z~ the Galois conjugate.
 All membership, order and symmetry decisions are made in exact
 arithmetic.  Global inversion symmetry is decided from the window alone;
 a patch enumerated within a radius R is a finite sample, which the gap
-and palindrome readings work on.  Floats are renderings, or fast paths
-of the walk that decide nothing within a tolerance band of a boundary,
-where an exact test takes over.
+and palindrome readings work on.  The walk decides each step on
+integers: a linear integer reading of a + b*sqrt(d) that decides outside
+a proven band around the window edges, and an exact sign test inside it.
+Floats are renderings only.
 """
 
 from __future__ import annotations
@@ -48,8 +49,9 @@ class QuadField:
     omega_style: str = OMEGA_SQRT
 
     def __post_init__(self):
-        if self.d <= 1 or not _is_squarefree(self.d):
-            raise ValueError(f"d must be a squarefree integer > 1, got {self.d}")
+        d = self.d
+        if not isinstance(d, int) or isinstance(d, bool) or d <= 1 or not _is_squarefree(d):
+            raise ValueError(f"d must be a squarefree integer > 1, got {d!r}")
         if self.omega_style not in (OMEGA_SQRT, OMEGA_GOLDEN):
             raise ValueError(f"unknown omega style {self.omega_style!r}")
 
@@ -258,9 +260,6 @@ class Window:
     def contains(self, z):
         return not (z < self.lo) and not (self.hi < z)
 
-    def length(self):
-        return self.hi - self.lo
-
     def shift(self, s):
         return Window(self.lo + s, self.hi + s)
 
@@ -278,9 +277,6 @@ class GenericityReport:
 
     w4: bool
     boundary_hits: tuple
-
-    def __bool__(self):
-        return self.w4
 
 
 def check_generic(window, lattice):
@@ -311,20 +307,22 @@ class ModelSetPatch:
 
     ``coords`` holds exact (m, n) lattice coordinates in increasing
     physical position, the order in which ``enumerate_patch`` walks them.
-    A patch is a finite sample: the inversion verdict reads the window
-    alone, and the palindrome and gap readings hold for this patch only.
+    ``gap_coords`` holds the distinct steps between consecutive points in
+    increasing order, and ``letters[i]`` is the index in ``gap_coords`` of
+    the step from point i to point i + 1; the walk records both.  A patch
+    is a finite sample: the inversion verdict reads the window alone, and
+    the palindrome and gap readings hold for this patch only.
     """
 
     lattice: LatticeSpec
     window: Window
     radius: Fraction
     coords: tuple
+    gap_coords: tuple
+    letters: tuple
 
     def __len__(self):
         return len(self.coords)
-
-    def point(self, i):
-        return self.lattice.element(*self.coords[i])
 
 
 def _floor_scaled(a, b, scale, d):
@@ -385,8 +383,12 @@ def enumerate_patch(lattice, window, radius):
     (0, B] with |g*| <= |W|, in exact order; when none fits, no point lies
     in (x, x + B] and B doubles.  No point can be skipped.  The walk ends
     at the greatest point, found like the least by the row enumeration.
-    Each step is decided by integer sign tests of a + b*sqrt(d), with a
-    float fast path outside a tolerance band.
+    Each step reads a + b*sqrt(d) as the integer a*2**K + b*floor(sqrt(d)*2**K),
+    which is linear and within |b| of the true value times 2**K, so a
+    reading farther than that bound from both window edges decides and an
+    exact integer sign test decides the rest.  Doubling B only appends
+    larger candidates, so each step is recorded as a candidate's index,
+    and the gap word is read off those indices.
     """
     R = Fraction(radius)
     if R <= 0:
@@ -408,73 +410,68 @@ def enumerate_patch(lattice, window, radius):
         B *= 2
         first = extreme(min, -R, -R + B)
     if first is None:
-        return ModelSetPatch(lattice, window, R, ())
+        return ModelSetPatch(lattice, window, R, (), (), ())
     last = extreme(max, R - B, R)
     while last is None:
         B *= 2
         last = extreme(max, R - B, R)
 
-    # u = S*(x* - x0*) = ua + ub*sqrt(d) for the current point x and the
-    # first point x0, over a common denominator S; x* lies in the window
-    # iff S*(lo - x0*) = la + lb*sqrt(d) <= u <= ha + hb*sqrt(d) = S*(hi - x0*).
+    # Over a common denominator S, m + n*omega lies in the patch's window
+    # iff la + lb*sqrt(d) <= (S*m + n*sp) + n*sq*sqrt(d) <= ha + hb*sqrt(d).
     omega_star = lattice.omega_star()
     parts = (omega_star.p, omega_star.q, lo.p, lo.q, hi.p, hi.q)
     scale = math.lcm(*(f.denominator for f in parts))
-    sp, sq = int(omega_star.p * scale), int(omega_star.q * scale)
-    x0_star = star(exact(*first))
-    below, above = (lo - x0_star) * scale, (hi - x0_star) * scale
-    la, lb, ha, hb = int(below.p), int(below.q), int(above.p), int(above.q)
-    sqd = math.sqrt(d)
-    # Floats of la + lb*sqrt(d) and ha + hb*sqrt(d) to within 2**-64, read
-    # off the exact floor, since the coefficients may cancel or be huge.
-    below_f = _floor_scaled(la << 64, lb << 64, 1, d) / 2**64
-    above_f = _floor_scaled(ha << 64, hb << 64, 1, d) / 2**64
-    # Every point has |n| <= n_bound, so |ua| + |ub|*sqrt(d) <= 2*ub_max*sqrt(d)
-    # + S*|W|; the float error of a window test is a few ulps of that plus
-    # the gap's own size, and the band is about 2**10 times wider.
-    n_bound = ((R + abs(lo) + abs(hi)) / (lattice.omega() - omega_star)).floor() + 1
-    ub_max = 2 * n_bound * abs(sq)
-    eps = 2.0**-40
+    sp, sq, la, lb, ha, hb = (int(f * scale) for f in parts)
 
-    def fits(a, b):
+    def fits(m, n):
+        a, b = scale * m + n * sp, n * sq
         return _floor_scaled(a - la, b - lb, 1, d) >= 0 and _floor_scaled(ha - a, hb - b, 1, d) >= 0
+
+    # Every patch point has |n*sq| <= ub_max, so a candidate x + g read
+    # against an edge has |b| <= ub_max + |gn*sq| + max(|lb|, |hb|).
+    ub_max = (((R + abs(lo) + abs(hi)) / (lattice.omega() - omega_star)).floor() + 1) * abs(sq)
+    edge = max(abs(lb), abs(hb))
+    K = max(ub_max, edge).bit_length() + 24
+    root = math.isqrt(d << 2 * K)
+    per_m, per_n = scale << K, (sp << K) + sq * root
+    low, high = (la << K) + lb * root, (ha << K) + hb * root
 
     def candidates():
         gaps = _row_points(lattice, -width, width, Fraction(0), B)
         gaps.remove((0, 0))
         gaps.sort(key=lambda mn: exact(*mn))
+        band = ub_max + max((abs(gn) for _, gn in gaps), default=0) * abs(sq) + edge + 1
         out = []
-        size = 0.0
-        for gm, gn in gaps:
-            ga, gb = scale * gm + gn * sp, gn * sq
-            out.append((gm, gn, ga, gb, ga + gb * sqd))
-            size = max(size, abs(ga) + abs(gb) * sqd)
-        tol = (2 * ub_max * sqd + above_f - below_f + size + 1) * eps
-        return out, (below_f + tol, above_f - tol, below_f - tol, above_f + tol)
+        for i, (gm, gn) in enumerate(gaps):
+            g = gm * per_m + gn * per_n
+            out.append((i, gm, gn, g, low + band - g, high - band - g, low - band - g, high + band - g))
+        return out
 
-    cands, (inside_lo, inside_hi, outside_lo, outside_hi) = candidates()
-    m, n = first
-    end_m, end_n = last
-    ua = ub = 0
+    cands = candidates()
+    (m, n), (end_m, end_n) = first, last
+    u = m * per_m + n * per_n
     coords = [first]
+    steps = []
     while m != end_m or n != end_n:
-        uf = ua + ub * sqd
-        for gm, gn, ga, gb, gf in cands:
-            t = uf + gf
-            if inside_lo < t < inside_hi or (
-                outside_lo <= t <= outside_hi and fits(ua + ga, ub + gb)
+        for i, gm, gn, g, inside_lo, inside_hi, outside_lo, outside_hi in cands:
+            if inside_lo < u < inside_hi or (
+                outside_lo <= u <= outside_hi and fits(m + gm, n + gn)
             ):
                 break
         else:
             B *= 2
-            cands, (inside_lo, inside_hi, outside_lo, outside_hi) = candidates()
+            cands = candidates()
             continue
         m += gm
         n += gn
-        ua += ga
-        ub += gb
+        u += g
         coords.append((m, n))
-    return ModelSetPatch(lattice, window, R, tuple(coords))
+        steps.append(i)
+    used = sorted(set(steps))
+    rank = dict(zip(used, range(len(used))))
+    gap_coords = tuple(cands[i][1:3] for i in used)
+    letters = tuple(map(rank.__getitem__, steps))
+    return ModelSetPatch(lattice, window, R, tuple(coords), gap_coords, letters)
 
 
 @dataclass(frozen=True)
@@ -494,19 +491,13 @@ def _gap_symbols(count):
 
 
 def gaps_to_letters(patch):
-    """Map the patch's consecutive differences onto letters."""
+    """The patch's gap word, read off the walk's record of its steps
+    (``patch.gap_coords`` and ``patch.letters``)."""
     if len(patch) < 2:
         raise ValueError("need at least two points to read off gaps")
-    coords = patch.coords
-    steps = [
-        (coords[i + 1][0] - coords[i][0], coords[i + 1][1] - coords[i][1])
-        for i in range(len(coords) - 1)
-    ]
-    distinct = sorted(set(steps), key=lambda mn: patch.lattice.element(*mn))
-    index = {mn: i for i, mn in enumerate(distinct)}
-    alphabet = Alphabet(_gap_symbols(len(distinct)))
-    gaps = tuple(patch.lattice.element(*mn) for mn in distinct)
-    return GapSequence(alphabet, tuple(index[s] for s in steps), gaps)
+    alphabet = Alphabet(_gap_symbols(len(patch.gap_coords)))
+    gaps = tuple(patch.lattice.element(*mn) for mn in patch.gap_coords)
+    return GapSequence(alphabet, patch.letters, gaps)
 
 
 def inversion_witness(window, lattice):

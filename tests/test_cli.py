@@ -494,6 +494,47 @@ def test_modelset_symmetry_with_huge_exact_candidate(files):
     assert data["inversion_witness"] == {"m": -2 * (g - f), "n": -2 * f, "value": None}
 
 
+def test_modelset_far_window_all_actions(files):
+    # [tau^2000 - 1/2, tau^2000 + 1/2], tau^2000 = (L_2000 + F_2000 sqrt(5)) / 2:
+    # every patch point has (m, n) of about 418 digits, so no point has a
+    # float and each is printed with exact m and n and "value": null.
+    f, g = 0, 1
+    for _ in range(2000):
+        f, g = g, f + g
+    lucas = 2 * g - f
+    spec = files(
+        "far.json",
+        {
+            "d": 5,
+            "omega": "golden",
+            "window": {
+                "lo": {"p": f"{lucas - 1}/2", "q": f"{f}/2"},
+                "hi": {"p": f"{lucas + 1}/2", "q": f"{f}/2"},
+            },
+        },
+    )
+    out = {}
+    for action in ("generate", "check-window", "symmetry", "palindromes"):
+        proc = run_python("-m", "aperiodica.cli", "modelset", "--spec", spec, "--action", action, "-R", "20")
+        assert proc.returncode == 0, (action, proc.stderr)
+        out[action] = json.loads(proc.stdout)
+    points = out["generate"]["points"]
+    assert len(points) == out["generate"]["count"] == out["symmetry"]["count"] > 10
+    assert all(p["value"] is None and abs(p["n"]) > 10**400 for p in points)
+    assert [entry["value"] is not None for entry in out["generate"]["legend"]] == [True, True]
+    assert len(out["generate"]["sequence"]) == len(points) - 1
+    assert out["check-window"]["W4"] is True
+    assert out["symmetry"]["inversion_witness"]["value"] is None
+    assert out["palindromes"]["sequence_length"] == len(points) - 1
+
+
+@pytest.mark.parametrize("d", [5.9, True, "5"])
+def test_modelset_rejects_non_integer_d(files, capsys, d):
+    spec = files("bad_d.json", {**FIB_SPEC, "d": d})
+    assert cli.main(["modelset", "--spec", spec, "--action", "generate"]) == 2
+    assert "d must be a squarefree integer" in capsys.readouterr().err
+
+
 def test_modelset_symmetry_paper_window_has_no_witness(files, capsys):
     # lo + hi = 5/3 is not a star image, so no lattice shift mirrors the
     # model set at any radius, although finite patches agree with shifted

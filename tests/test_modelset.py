@@ -35,6 +35,14 @@ def fib_window():
     return Window(GOLDEN.element(Fraction(1, 3)), GOLDEN.element(Fraction(4, 3)))
 
 
+def fibonacci(k):
+    """(F_k, F_(k+1))."""
+    f, g = 0, 1
+    for _ in range(k):
+        f, g = g, f + g
+    return f, g
+
+
 rationals = st.fractions(max_denominator=12).filter(lambda f: abs(f) < 100)
 
 
@@ -47,6 +55,9 @@ def test_quadfield_validation():
         QuadField(1)
     with pytest.raises(ValueError):
         QuadField(5, "half")
+    for d in (5.9, 5.0, True, "5"):
+        with pytest.raises(ValueError):
+            QuadField(d)
     assert float(QuadField(5, OMEGA_GOLDEN).omega()) == pytest.approx(1.6180339887)
     assert float(QuadField(2).omega()) == pytest.approx(2**0.5)
 
@@ -146,8 +157,7 @@ def test_genericity_verdicts():
     tau_conj = star(TAU)
     report = check_generic(Window(tau_conj, tau_conj + 1), LAT)
     assert not report.w4
-    assert tau_conj in report.boundary_hits
-    assert not report
+    assert report.boundary_hits == (tau_conj, tau_conj + 1)
 
 
 def test_genericity_shift_suggestion():
@@ -159,7 +169,7 @@ def test_patch_points_satisfy_window_exactly():
     patch = enumerate_patch(LAT, fib_window(), 50)
     window = fib_window()
     assert len(patch) > 0
-    points = [patch.point(i) for i in range(len(patch))]
+    points = [patch.lattice.element(*mn) for mn in patch.coords]
     for z in points:
         assert window.contains(star(z))
         assert not (z < -Fraction(50)) and not (Fraction(50) < z)
@@ -176,17 +186,23 @@ def test_patch_subset_monotonicity():
 
 def oracle_patch(lattice, window, radius):
     """The patch from the exact row enumeration over [-R, R], put in order
-    by exact field comparisons."""
+    by exact field comparisons; its gap word comes from the consecutive
+    differences, whose distinct values are sorted the same way."""
     R = Fraction(radius)
     rows = _row_points(lattice, window.lo, window.hi, -R, R)
     coords = tuple(sorted(rows, key=lambda mn: lattice.element(*mn)))
-    return ModelSetPatch(lattice, window, R, coords)
+    steps = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(coords, coords[1:])]
+    gap_coords = tuple(sorted(set(steps), key=lambda mn: lattice.element(*mn)))
+    index = {mn: i for i, mn in enumerate(gap_coords)}
+    return ModelSetPatch(lattice, window, R, coords, gap_coords, tuple(index[s] for s in steps))
 
 
 def assert_walk_matches_oracle(lattice, window, radius):
     walked = enumerate_patch(lattice, window, radius)
     oracle = oracle_patch(lattice, window, radius)
     assert walked.coords == oracle.coords
+    assert walked.gap_coords == oracle.gap_coords
+    assert walked.letters == oracle.letters
     if len(oracle) >= 2:
         assert gaps_to_letters(walked) == gaps_to_letters(oracle)
     return walked
@@ -220,9 +236,7 @@ def test_walk_matches_row_enumeration_on_named_windows():
     nongeneric = Window(GOLDEN.element(0), GOLDEN.element(1))
     # psi**2000, psi = (1 - sqrt(5)) / 2: a tiny number written with
     # 418-digit coefficients, beyond what a float can hold.
-    f, g = 0, 1
-    for _ in range(2000):
-        f, g = g, f + g
+    f, g = fibonacci(2000)
     tiny = GOLDEN.element(Fraction(2 * g - f, 2), Fraction(-f, 2))
     huge = Window(tiny + Fraction(1, 3), tiny + Fraction(4, 3))
     for window in (fib_window(), sym, irr, three_gap, wide, nongeneric, huge):
@@ -232,6 +246,55 @@ def test_walk_matches_row_enumeration_on_named_windows():
     assert len(gaps_to_letters(enumerate_patch(LAT, wide, 300)).gaps) == 3
     # A point exactly on the window's boundary stays in the closed window.
     assert (0, 0) in enumerate_patch(LAT, nongeneric, 10).coords
+
+
+def test_walk_matches_row_enumeration_far_out():
+    # [tau^k - 1/2, tau^k + 1/2] with tau^k = (L_k + F_k * sqrt(5)) / 2: the
+    # window lies about tau^k from the origin, so every patch point has
+    # coordinates of about k/5 digits, which no float holds for k = 2000.
+    for k in (200, 2000):
+        f, g = fibonacci(k)
+        power = GOLDEN.element(Fraction(2 * g - f, 2), Fraction(f, 2))
+        window = Window(power - Fraction(1, 2), power + Fraction(1, 2))
+        for radius in (Fraction(1, 2), 1, 20, 300):
+            walked = assert_walk_matches_oracle(LAT, window, radius)
+        assert len(walked) > 100 and len(walked.gap_coords) == 2
+
+
+def test_walk_decides_near_misses_exactly():
+    # Window edges within |unit^k| of the star image of a patch point, on
+    # either side of it.  The walk's integer reading of such a point can err
+    # by more than its distance to the edge, so only the band around the
+    # edge and the exact test behind it keep the point in or out.
+    sqrt2 = QuadField(2)
+    for field, unit in ((GOLDEN, star(TAU)), (sqrt2, sqrt2.element(1, -1))):
+        lattice = LatticeSpec(field)
+        window = Window(field.element(Fraction(1, 3)), field.element(Fraction(4, 3)))
+        coords = enumerate_patch(lattice, window, 100).coords
+        delta = field.element(1)
+        for k in range(1, 61):
+            delta = delta * unit
+            if k % 5:
+                continue
+            for mn in (coords[3], coords[-3]):
+                z = star(lattice.element(*mn))
+                for edge in (z - abs(delta), z + abs(delta)):
+                    assert_walk_matches_oracle(lattice, Window(edge, edge + 1), 100)
+                    assert_walk_matches_oracle(lattice, Window(edge - 1, edge), 100)
+    # Edges z* +- psi^k for a point z near the origin whose star image has
+    # the sqrt(5) coefficient -q/2, q that of psi^k: the reading of z*
+    # against the edge z* + psi^k then errs by the point's |b| and the
+    # edge's together.
+    delta = GOLDEN.element(1)
+    for k in range(1, 61):
+        delta = delta * star(TAU)
+        if k % 3:
+            continue
+        n = int(delta.q)
+        z = star(LAT.element((-(TAU * n)).floor(), n))
+        for edge in (z - delta, z + delta):
+            assert_walk_matches_oracle(LAT, Window(edge, edge + 1), 20)
+            assert_walk_matches_oracle(LAT, Window(edge - 1, edge), 20)
 
 
 def test_walk_on_radii_with_no_or_one_point():
@@ -254,8 +317,8 @@ def test_walk_matches_row_enumeration_on_random_windows():
 
 def test_walk_keeps_boundary_points_far_out():
     # Windows whose endpoints are star images of patch points near +-R: the
-    # step onto such a point lands exactly on the boundary, where rounding
-    # can put the float test on either side and the exact test decides.
+    # step onto such a point lands exactly on the boundary of the closed
+    # window, which keeps it.
     rng = random.Random(7)
     for trial in range(24):
         field = QuadField((2, 3, 5, 7)[trial % 4], ("sqrt", OMEGA_GOLDEN)[trial // 4 % 2])
@@ -299,12 +362,13 @@ def test_gap_legend_stable_under_doubling_radius():
 
 
 def test_single_gap_patch_gives_constant_word():
-    patch = ModelSetPatch(LAT, fib_window(), Fraction(10), ((0, 0), (1, 0), (2, 0), (3, 0)))
+    coords = ((0, 0), (1, 0), (2, 0), (3, 0))
+    patch = ModelSetPatch(LAT, fib_window(), Fraction(10), coords, ((1, 0),), (0, 0, 0))
     seq = gaps_to_letters(patch)
-    assert len(seq.gaps) == 1
+    assert seq.gaps == (GOLDEN.element(1),)
     assert seq.letters == (0, 0, 0)
     with pytest.raises(ValueError):
-        gaps_to_letters(ModelSetPatch(LAT, fib_window(), Fraction(10), ((0, 0),)))
+        gaps_to_letters(ModelSetPatch(LAT, fib_window(), Fraction(10), ((0, 0),), (), ()))
 
 
 def test_derived_sequence_factors_match_fibonacci_atlas():
