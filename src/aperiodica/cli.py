@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -39,21 +38,19 @@ def _emit(text, path):
         sys.stdout.write(text)
 
 
+def _json_object(value, what):
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return value
+
+
 def _load_json(path):
     with open(path) as fh:
-        return json.load(fh)
+        return _json_object(json.load(fh), f"file {path}")
 
 
 def _load_rule(path):
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise ValueError(f"rule file {path} must hold a JSON object")
-    return substitution.rule_from_dict(data)
-
-
-def _max_prefix():
-    raw = os.environ.get("APERIODICA_MAX_PREFIX")
-    return int(raw) if raw else None
+    return substitution.rule_from_dict(_load_json(path))
 
 
 def _atlas_payload(alphabet, atlas):
@@ -70,7 +67,7 @@ def cmd_atlas(args):
     if args.method in ("induction", "both"):
         by_induction = substitution.atlas_by_induction(rule, args.n, seed)
     if args.method in ("window", "both"):
-        by_window = substitution.atlas_by_window(rule, args.n, seed, max_prefix=_max_prefix())
+        by_window = substitution.atlas_by_window(rule, args.n, seed)
     payload = _atlas_payload(rule.alphabet, by_induction or by_window)
     agree = True
     if args.method == "both":
@@ -95,9 +92,8 @@ def cmd_exclude(args):
     chain = substitution.atlas_chain(rule, args.nmax, seed)
     if args.phi:
         chain = substitution.prefix_chain(rudin_shapiro.phi_atlas(chain[-1]))
-    atlases = {a.length: a.words for a in chain}
     payload = {"nmax": args.nmax, "projection": "phi" if args.phi else None}
-    payload.update(_verdict_payload(words.exclusion_verdict(atlases)))
+    payload.update(_verdict_payload(words.exclusion_verdict(chain)))
     _emit(_json_text(payload), args.output)
     return 0
 
@@ -145,13 +141,21 @@ def cmd_rs_table(args):
     return 0
 
 
+def _fraction(raw):
+    """Fraction(raw), with a ValueError for every value it cannot read."""
+    try:
+        return Fraction(raw)
+    except (TypeError, OverflowError, ZeroDivisionError):
+        raise ValueError(f"bad number {raw!r}: use an integer or 'p/q'") from None
+
+
 def _parse_field_value(field, raw):
     if isinstance(raw, str):
-        return field.element(Fraction(raw))
+        return field.element(_fraction(raw))
     if isinstance(raw, int):
         return field.element(raw)
     if isinstance(raw, dict):
-        return field.element(Fraction(raw.get("p", 0)), Fraction(raw.get("q", 0)))
+        return field.element(_fraction(raw.get("p", 0)), _fraction(raw.get("q", 0)))
     raise ValueError(f"bad field value {raw!r}: use 'p/q' or {{'p': ..., 'q': ...}}")
 
 
@@ -159,11 +163,11 @@ def _load_modelset_spec(path, r_override):
     data = _load_json(path)
     field = modelset.QuadField(data["d"], data.get("omega", modelset.OMEGA_SQRT))
     lattice = modelset.LatticeSpec(field)
+    bounds = _json_object(data["window"], "window")
     window = modelset.Window(
-        _parse_field_value(field, data["window"]["lo"]),
-        _parse_field_value(field, data["window"]["hi"]),
+        _parse_field_value(field, bounds["lo"]), _parse_field_value(field, bounds["hi"])
     )
-    radius = Fraction(r_override if r_override is not None else data.get("R", "100"))
+    radius = _fraction(r_override if r_override is not None else data.get("R", "100"))
     return lattice, window, radius
 
 
@@ -213,7 +217,7 @@ def cmd_modelset(args):
         payload["warning"] = "window is not generic: " + ", ".join(
             str(e) for e in report.boundary_hits
         )
-        payload["suggested_shift"] = str(suggestion) if suggestion is not None else None
+        payload["suggested_shift"] = str(suggestion)
     patch = modelset.enumerate_patch(lattice, window, radius)
     if args.action == "generate":
         seq = modelset.gaps_to_letters(patch) if len(patch) >= 2 else None

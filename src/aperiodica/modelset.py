@@ -13,6 +13,7 @@ Floats are renderings only.
 
 from __future__ import annotations
 
+import itertools
 import math
 import string
 from collections import Counter
@@ -288,17 +289,20 @@ def check_generic(window, lattice):
 
 
 SHIFT_DENOMINATOR = 16
-SHIFT_MAX_NUMERATOR = 64
 
 
 def genericity_shift(window, lattice):
     """Smallest grid shift restoring W4, scanning k/SHIFT_DENOMINATOR with
-    increasing |k|, positive first.  None when the grid is exhausted."""
-    for k in range(1, SHIFT_MAX_NUMERATOR + 1):
+    increasing |k|, positive first.
+
+    The star image meets Q in Z, so an endpoint e + s lies in it for at
+    most one residue of the rational shift s mod 1.  The two endpoints
+    block at most two of +-1/16, +-2/16, and the scan ends by |k| = 2.
+    """
+    for k in itertools.count(1):
         for s in (Fraction(k, SHIFT_DENOMINATOR), Fraction(-k, SHIFT_DENOMINATOR)):
             if check_generic(window.shift(s), lattice).w4:
                 return s
-    return None
 
 
 @dataclass(frozen=True)

@@ -110,16 +110,13 @@ def _status(verdict, n):
 
 def table1(n_max=20):
     """Factor counts and palindrome statuses for lengths 1..n_max."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    chain = atlas_chain(_RULE, n_max)
-    quaternary = {a.length: a.words for a in chain}
+    quaternary = atlas_chain(_RULE, n_max)
     # phi maps letter to letter, so phi(w)[:n] = phi(w[:n]).
-    binary = {a.length: a.words for a in prefix_chain(phi_atlas(chain[-1]))}
+    binary = prefix_chain(phi_atlas(quaternary[-1]))
     v4, v2 = exclusion_verdict(quaternary), exclusion_verdict(binary)
     rows = [
-        Table1Row(n, len(quaternary[n]), _status(v4, n), len(binary[n]), _status(v2, n))
-        for n in range(1, n_max + 1)
+        Table1Row(a4.length, len(a4), _status(v4, a4.length), len(a2), _status(v2, a2.length))
+        for a4, a2 in zip(quaternary, binary)
     ]
     return Table1(rows, (v4, v2))
 

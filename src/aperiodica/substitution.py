@@ -56,9 +56,6 @@ class SubstitutionRule:
             raise ValueError(f"missing images for {missing}")
         return cls(alphabet, tuple(alphabet.word(images[s]) for s in alphabet.symbols))
 
-    def size(self):
-        return len(self.alphabet)
-
 
 def rule_from_dict(data):
     """Parse the rule file payload {"alphabet": [...], "images": {...}, "seed": ...}.
@@ -70,6 +67,8 @@ def rule_from_dict(data):
         rule = SubstitutionRule.from_mapping(alphabet, data["images"])
     except KeyError as exc:
         raise ValueError(f"rule file missing key {exc}") from None
+    except TypeError:
+        raise ValueError("rule file needs a symbol list as alphabet and an images object") from None
     seed = alphabet.index(data["seed"]) if "seed" in data else None
     return rule, seed
 
@@ -144,29 +143,19 @@ def require_primitive(rule):
         )
 
 
-def _image_lengths_after(rule, k):
-    """|sigma^k(a)| for every letter a, by iterating the length vector."""
-    lens = [len(img) for img in rule.images]
-    out = list(lens)
-    for _ in range(k - 1):
-        out = [sum(out[b] for b in rule.images[a]) for a in range(len(out))]
-    return out
-
-
 def resolve_seed_and_power(rule, seed=None):
     """Smallest power k such that some admissible seed letter s has
     sigma^k(s) starting with s and growing; ties pick the first seed in
     alphabet order.  Raises when no pair exists (e.g. a -> a)."""
     r = len(rule.alphabet)
-    first = [img[0] for img in rule.images]
     seeds = range(r) if seed is None else [seed]
+    # First letter and length of sigma^k(a) for every letter a, at k = 0.
+    heads, lengths = list(range(r)), [1] * r
     for k in range(1, r + 1):
-        lengths = _image_lengths_after(rule, k)
+        heads = [rule.images[a][0] for a in heads]
+        lengths = [sum(lengths[b] for b in img) for img in rule.images]
         for s in seeds:
-            t = s
-            for _ in range(k):
-                t = first[t]
-            if t == s and lengths[s] > 1:
+            if heads[s] == s and lengths[s] > 1:
                 return s, k
     raise ValueError("no seed/power pair yields a growing fixed point within the alphabet-size bound")
 
@@ -234,25 +223,6 @@ class Atlas:
         return sorted(self.words)
 
 
-def _closure(rule, n, seed):
-    """Closure of the fixed point's length-n prefix under the induced map.
-
-    Applied k times to a legal word w, the induced map yields every
-    length-n window of sigma^k(w) that starts inside sigma^k(w[0]); for a
-    primitive rule and large k that stretch holds every legal word, so
-    the closure is the whole length-n language.
-    """
-    start = FixedPointStream(rule, seed).prefix(n)
-    words = {start}
-    todo = [start]
-    while todo:
-        for v in induced_substitute(rule, todo.pop()):
-            if v not in words:
-                words.add(v)
-                todo.append(v)
-    return Atlas(n, frozenset(words))
-
-
 def prefix_chain(top):
     """Atlases for lengths 1..top.length (index 0 holds length 1), each the
     prefix set of the one above; exact when every factor extends to the
@@ -265,55 +235,60 @@ def prefix_chain(top):
 
 
 def atlas_chain(rule, n_max, seed=None):
-    """Atlases for every length 1..n_max (index 0 holds length 1).
-
-    One closure builds the length-n_max atlas and the shorter ones are its
-    prefix sets: every factor of the one-sided fixed point extends to the
-    right, so each length-n factor is the prefix of a longer one.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    require_primitive(rule)
-    return prefix_chain(_closure(rule, n_max, seed))
+    """Atlases for every length 1..n_max (index 0 holds length 1): the
+    closure at n_max and its prefix sets (see :func:`prefix_chain`)."""
+    return prefix_chain(atlas_by_induction(rule, n_max, seed))
 
 
 def atlas_by_induction(rule, n, seed=None):
-    """Length-n atlas as the closure of one legal word under the induced map."""
+    """Length-n atlas: the closure of the fixed point's length-n prefix
+    under the induced map, after checking that the rule is primitive.
+
+    Applied k times to a legal word w, the induced map yields every
+    length-n window of sigma^k(w) that starts inside sigma^k(w[0]); for a
+    primitive rule and large k that stretch holds every legal word, so
+    the closure is the whole length-n language.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     require_primitive(rule)
-    return _closure(rule, n, seed)
+    start = FixedPointStream(rule, seed).prefix(n)
+    words = {start}
+    todo = [start]
+    while todo:
+        for v in induced_substitute(rule, todo.pop()):
+            if v not in words:
+                words.add(v)
+                todo.append(v)
+    return Atlas(n, frozenset(words))
 
 
 def _ngrams(word, n):
     return {word[i : i + n] for i in range(len(word) - n + 1)}
 
 
-def atlas_by_window(rule, n, seed=None, max_prefix=None):
+def atlas_by_window(rule, n, seed=None):
     """Length-n atlas by collecting factors of a growing fixed-point prefix.
 
     The prefix doubles until its factor set is closed under the induced
     map.  A nonempty closed set of legal words holds the closure of each
     of its members, which is the whole language, so the stop is exact
-    and needs no a-priori repetitivity constant.
+    and needs no a-priori repetitivity constant.  The prefix may not grow
+    past ``DEFAULT_MAX_PREFIX`` letters.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     require_primitive(rule)
-    cap = DEFAULT_MAX_PREFIX if max_prefix is None else max_prefix
     stream = FixedPointStream(rule, seed)
     length = max(64, 4 * n)
-    if length > cap:
-        raise PrefixLimitError(f"prefix cap {cap} is below the starting length {length}")
-    while True:
+    while length <= DEFAULT_MAX_PREFIX:
         factors = _ngrams(stream.prefix(length), n)
         if all(v in factors for w in factors for v in induced_substitute(rule, w)):
             return Atlas(n, frozenset(factors))
         length *= 2
-        if length > cap:
-            raise PrefixLimitError(
-                f"factor set of length {n} did not close within the prefix cap {cap}"
-            )
+    raise PrefixLimitError(
+        f"factor set of length {n} did not close within the prefix cap {DEFAULT_MAX_PREFIX}"
+    )
 
 
 def complexity(rule, n, seed=None):

@@ -94,26 +94,28 @@ class PalindromeVerdict:
     status: str
 
 
-def exclusion_verdict(atlas_by_length):
-    """Derive the palindromicity verdict from atlases for lengths 1..N_max.
+def exclusion_verdict(chain):
+    """Derive the palindromicity verdict from the atlas chain for lengths 1..N_max.
 
-    ``atlas_by_length`` maps each length to the set of factors of that
-    length; the lengths must be consecutive starting at 1.
+    ``chain[i]`` is the atlas (``length`` and ``words``) of length i + 1.
+    The scan stops at the first pair of lengths without palindromic
+    factors: by the chop argument no longer length carries one, so the
+    atlases past the pair are not read.
     """
-    lengths = sorted(atlas_by_length)
-    if not lengths or lengths != list(range(1, lengths[-1] + 1)):
+    if not chain:
         raise ValueError("atlases must cover consecutive lengths 1..N_max")
     with_pal = set()
-    for n in lengths:
-        words = atlas_by_length[n]
+    first_pair = None
+    for n, atlas in enumerate(chain, 1):
+        if atlas.length != n:
+            raise ValueError("atlases must cover consecutive lengths 1..N_max")
+        words = atlas.words
         if any(len(w) != n for w in words):
             raise ValueError(f"atlas for length {n} contains words of other lengths")
         if any(is_palindrome(w) for w in words):
             with_pal.add(n)
-    first_pair = None
-    for n in range(1, lengths[-1]):
-        if n not in with_pal and (n + 1) not in with_pal:
-            first_pair = n
+        elif n > 1 and n - 1 not in with_pal:
+            first_pair = n - 1
             break
     status = EXCLUDED if first_pair is not None else UNDETERMINED
     return PalindromeVerdict(frozenset(with_pal), first_pair, status)

@@ -107,7 +107,7 @@ def test_exclusion_soundness():
     sound = True
     for rule in rules:
         chain = atlas_chain(rule, 12)
-        verdict = exclusion_verdict({a.length: a.words for a in chain})
+        verdict = exclusion_verdict(chain)
         if verdict.first_excluding_pair is None:
             continue
         fired += 1

@@ -178,7 +178,7 @@ def test_atlas_window_method_finds_every_factor(files, capsys):
 
 
 def test_atlas_prefix_cap(files, capsys, monkeypatch):
-    monkeypatch.setenv("APERIODICA_MAX_PREFIX", "128")
+    monkeypatch.setattr(substitution, "DEFAULT_MAX_PREFIX", 128)
     rule = files("rs.json", RS_RULE)
     assert cli.main(["atlas", "--rule", rule, "-N", "10", "--method", "window"]) == 2
     assert "prefix cap" in capsys.readouterr().err
@@ -526,6 +526,30 @@ def test_modelset_far_window_all_actions(files):
     assert out["check-window"]["W4"] is True
     assert out["symmetry"]["inversion_witness"]["value"] is None
     assert out["palindromes"]["sequence_length"] == len(points) - 1
+
+
+SPEC_ARGV = ["modelset", "--spec"]
+RULE_ARGV = ["exclude", "--nmax", "5", "--rule"]
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (SPEC_ARGV, "[1, 2]"),
+        (SPEC_ARGV, '{"d": 5, "omega": "golden", "window": [1, 2]}'),
+        # JSON reads 1e400 as inf, which no Fraction holds.
+        (SPEC_ARGV, '{"d": 5, "window": {"lo": "1/3", "hi": "4/3"}, "R": 1e400}'),
+        (SPEC_ARGV, '{"d": 5, "window": {"lo": {"p": [1]}, "hi": "4/3"}}'),
+        (SPEC_ARGV, '{"d": 5, "window": {"lo": "1/0", "hi": "4/3"}}'),
+        (RULE_ARGV, '{"alphabet": ["a", "b"], "images": {"a": "ab", "b": 5}}'),
+        (RULE_ARGV, '{"alphabet": 5, "images": {"a": "ab", "b": "a"}}'),
+    ],
+)
+def test_malformed_input_file_exits_2(tmp_path, capsys, argv, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert cli.main(argv + [str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("d", [5.9, True, "5"])

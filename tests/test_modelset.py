@@ -163,6 +163,9 @@ def test_genericity_verdicts():
 def test_genericity_shift_suggestion():
     assert genericity_shift(Window(GOLDEN.element(0), GOLDEN.element(1)), LAT) == Fraction(1, 16)
     assert genericity_shift(fib_window(), LAT) == Fraction(1, 16)
+    # +-1/16 both move an endpoint onto an integer, so the scan needs k = 2.
+    window = Window(GOLDEN.element(Fraction(-1, 16)), GOLDEN.element(Fraction(17, 16)))
+    assert genericity_shift(window, LAT) == Fraction(1, 8)
 
 
 def test_patch_points_satisfy_window_exactly():

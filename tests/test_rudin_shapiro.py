@@ -94,8 +94,8 @@ def test_counts_agree_from_length_eight_on():
 
 def palindrome_verdicts(n_max):
     """Exclusion verdicts (quaternary, binary) from one closure per length."""
-    quaternary = {n: atlas_by_induction(quaternary_rule(), n).words for n in range(1, n_max + 1)}
-    binary = {n: binary_atlas(n).words for n in range(1, n_max + 1)}
+    quaternary = [atlas_by_induction(quaternary_rule(), n) for n in range(1, n_max + 1)]
+    binary = [binary_atlas(n) for n in range(1, n_max + 1)]
     return exclusion_verdict(quaternary), exclusion_verdict(binary)
 
 

@@ -145,6 +145,24 @@ def test_seed_power_detection():
     assert rule.alphabet.text(word).startswith("aba")
 
 
+def test_seed_power_matches_explicit_powers():
+    # Oracle: sigma^k of every letter spelled out for k = 1..r; pairs are
+    # listed by k, then by seed in alphabet order.
+    for rule in random_primitive_rules(60, 11) + [fibonacci_rule(), quaternary_rule()]:
+        r = len(rule.alphabet)
+        words, pairs = [(a,) for a in range(r)], []
+        for k in range(1, r + 1):
+            words = [apply(rule, w) for w in words]
+            pairs += [(s, k) for s in range(r) if words[s][0] == s and len(words[s]) > 1]
+        for seed in [None] + list(range(r)):
+            admissible = [p for p in pairs if seed in (None, p[0])]
+            if admissible:
+                assert resolve_seed_and_power(rule, seed) == admissible[0]
+            else:
+                with pytest.raises(ValueError):
+                    resolve_seed_and_power(rule, seed)
+
+
 def test_seed_power_detection_fails_for_nongrowing_rule():
     rule = SubstitutionRule(Alphabet("a"), ((0,),))
     with pytest.raises(ValueError):
@@ -275,9 +293,10 @@ def test_sturmian_complexity_oracle():
         assert complexity(fib, n) == n + 1
 
 
-def test_window_method_prefix_cap():
+def test_window_method_prefix_cap(monkeypatch):
+    monkeypatch.setattr(substitution, "DEFAULT_MAX_PREFIX", 128)
     with pytest.raises(PrefixLimitError):
-        atlas_by_window(quaternary_rule(), 10, max_prefix=128)
+        atlas_by_window(quaternary_rule(), 10)
 
 
 def test_atlas_sorted_words_are_deterministic():

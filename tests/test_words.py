@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from aperiodica import words
 from aperiodica.words import (
     Alphabet,
     EXCLUDED,
@@ -9,8 +10,15 @@ from aperiodica.words import (
     inner,
     is_palindrome,
 )
+from aperiodica.rudin_shapiro import quaternary_rule
+from aperiodica.substitution import Atlas, atlas_chain
 
 AB = Alphabet("ab")
+
+
+def chain(by_length):
+    """The atlas chain holding, in order, the word sets of ``by_length``."""
+    return [Atlas(n, frozenset(word_set)) for n, word_set in by_length.items()]
 
 
 def test_alphabet_rejects_bad_symbols():
@@ -75,16 +83,16 @@ def test_palindromes_in_examples():
 
 def test_exclusion_verdict_requires_consecutive_lengths():
     with pytest.raises(ValueError):
-        exclusion_verdict({1: {(0,)}, 3: {(0, 0, 0)}})
+        exclusion_verdict(chain({1: {(0,)}, 3: {(0, 0, 0)}}))
     with pytest.raises(ValueError):
-        exclusion_verdict({2: {(0, 0)}})
+        exclusion_verdict(chain({2: {(0, 0)}}))
     with pytest.raises(ValueError):
-        exclusion_verdict({1: {(0, 0)}})
+        exclusion_verdict(chain({1: {(0, 0)}}))
 
 
 def test_exclusion_verdict_constant_sequence_undetermined():
     atlases = {n: {(0,) * n} for n in range(1, 12)}
-    verdict = exclusion_verdict(atlases)
+    verdict = exclusion_verdict(chain(atlases))
     assert verdict.status == UNDETERMINED
     assert verdict.first_excluding_pair is None
     assert verdict.lengths_with_palindromes == frozenset(range(1, 12))
@@ -99,11 +107,29 @@ def test_exclusion_verdict_finds_first_pair():
         4: {(0, 0, 1, 0)},
         5: {(0, 1, 1, 0, 1)},
     }
-    verdict = exclusion_verdict(atlases)
+    verdict = exclusion_verdict(chain(atlases))
     assert verdict.status == EXCLUDED
     assert verdict.first_excluding_pair == 3
     assert 3 not in verdict.lengths_with_palindromes
     assert 4 not in verdict.lengths_with_palindromes
+
+
+def test_exclusion_verdict_reads_nothing_past_the_first_pair(monkeypatch):
+    # By the chop argument no length past the first excluding pair can
+    # carry a palindrome, so the scan stops there: the Rudin-Shapiro pair
+    # is (8, 9), and atlases of lengths 10..40 that would be rejected
+    # (wrong length, wrong words) are never read.
+    full = atlas_chain(quaternary_rule(), 40)
+    calls = []
+    monkeypatch.setattr(words, "is_palindrome", lambda w: calls.append(w) or w == w[::-1])
+    verdict = exclusion_verdict(full)
+    assert verdict.first_excluding_pair == 8
+    assert {len(w) for w in calls} == set(range(1, 10))
+    assert len(calls) <= sum(len(a) for a in full[:9]) < len(full[-1])
+    malformed = full[:9] + [Atlas(3, frozenset({(0,)}))] * 31
+    assert exclusion_verdict(malformed) == verdict
+    with pytest.raises(ValueError):
+        exclusion_verdict(full[:7] + malformed[9:])
 
 
 @given(st.lists(st.integers(0, 2), max_size=12), st.booleans())
