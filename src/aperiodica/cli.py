@@ -143,6 +143,8 @@ def cmd_rs_table(args):
 
 def _fraction(raw):
     """Fraction(raw), with a ValueError for every value it cannot read."""
+    if isinstance(raw, bool):
+        raise ValueError(f"bad number {raw!r}: use an integer or 'p/q'")
     try:
         return Fraction(raw)
     except (TypeError, OverflowError, ZeroDivisionError):
@@ -150,10 +152,8 @@ def _fraction(raw):
 
 
 def _parse_field_value(field, raw):
-    if isinstance(raw, str):
+    if isinstance(raw, (str, int)):
         return field.element(_fraction(raw))
-    if isinstance(raw, int):
-        return field.element(raw)
     if isinstance(raw, dict):
         return field.element(_fraction(raw.get("p", 0)), _fraction(raw.get("q", 0)))
     raise ValueError(f"bad field value {raw!r}: use 'p/q' or {{'p': ..., 'q': ...}}")
@@ -171,24 +171,14 @@ def _load_modelset_spec(path, r_override):
     return lattice, window, radius
 
 
-def _f15_or_none(render):
-    """The float ``render()`` returns, formatted, or None when it has no
-    finite float."""
+def _lattice_point(m, n, omega):
+    """Exact (m, n) of the lattice point m + n*omega, with the float
+    rendering of m + n*omega, or null when that has no finite float."""
     try:
-        value = render()
+        value = m + n * omega
     except OverflowError:
-        return None
-    return _f15(value) if math.isfinite(value) else None
-
-
-def _element_payload(lattice, z):
-    """Exact (m, n) of a lattice element, and its float rendering or null
-    when it has no finite float."""
-    payload = {"value": _f15_or_none(z.__float__)}
-    mn = lattice.coords(z)
-    if mn is not None:
-        payload["m"], payload["n"] = mn
-    return payload
+        value = math.inf
+    return {"m": m, "n": n, "value": _f15(value) if math.isfinite(value) else None}
 
 
 def cmd_modelset(args):
@@ -219,35 +209,30 @@ def cmd_modelset(args):
         )
         payload["suggested_shift"] = str(suggestion)
     patch = modelset.enumerate_patch(lattice, window, radius)
+    omega = float(lattice.omega())
     if args.action == "generate":
-        seq = modelset.gaps_to_letters(patch) if len(patch) >= 2 else None
-        omega = float(lattice.omega())
         payload["count"] = len(patch)
-        payload["points"] = [
-            {"m": m, "n": n, "value": _f15_or_none(lambda: m + n * omega)} for m, n in patch.coords
-        ]
-        if seq is not None:
+        payload["points"] = [_lattice_point(m, n, omega) for m, n in patch.coords]
+        if len(patch) >= 2:
+            seq = modelset.gaps_to_letters(patch)
             payload["legend"] = [
-                {"letter": seq.alphabet.symbols[i], **_element_payload(lattice, gap)}
-                for i, gap in enumerate(seq.gaps)
+                {"letter": letter, **_lattice_point(m, n, omega)}
+                for letter, (m, n) in zip(seq.alphabet.symbols, patch.gap_coords)
             ]
             payload["sequence"] = seq.alphabet.text(seq.letters)
-        _emit(_json_text(payload), args.output)
-        return 0
-    if args.action == "symmetry":
+    elif args.action == "symmetry":
         witness = modelset.inversion_witness(window, lattice)
         payload["count"] = len(patch)
         payload["centro_symmetry_center"] = str(modelset.centro_symmetry_center(window))
         payload["inversion_witness"] = (
-            _element_payload(lattice, witness) if witness is not None else None
+            None if witness is None else _lattice_point(*lattice.coords(witness), omega)
         )
-        _emit(_json_text(payload), args.output)
-        return 0
-    seq = modelset.gaps_to_letters(patch)
-    scan = modelset.palindrome_scan(seq.letters, top=args.top)
-    payload["sequence_length"] = len(seq.letters)
-    payload["max_palindrome_length"] = scan[0][1] if scan else 0
-    payload["palindromes"] = [{"center2": c2, "length": length} for c2, length in scan]
+    else:
+        seq = modelset.gaps_to_letters(patch)
+        scan = modelset.palindrome_scan(seq.letters, top=args.top)
+        payload["sequence_length"] = len(seq.letters)
+        payload["max_palindrome_length"] = scan[0][1] if scan else 0
+        payload["palindromes"] = [{"center2": c2, "length": length} for c2, length in scan]
     _emit(_json_text(payload), args.output)
     return 0
 
@@ -258,12 +243,13 @@ def _parse_values(text, alphabet):
         sym, eq, val = part.partition("=")
         if not eq:
             raise ValueError(f"bad --values entry {part!r}: use letter=value")
-        mapping[alphabet.index(sym.strip())] = float(val)
+        letter = alphabet.index(sym.strip())
+        if letter in mapping:
+            raise ValueError(f"--values assigns {sym.strip()!r} twice")
+        mapping[letter] = float(val)
     missing = [s for i, s in enumerate(alphabet.symbols) if i not in mapping]
     if missing:
         raise ValueError(f"--values assigns nothing to {missing}")
-    if len(set(mapping.values())) != len(mapping):
-        raise ValueError("potential values must be pairwise different")
     return mapping
 
 

@@ -3,12 +3,14 @@
 Physical and internal space are both the real line; the lattice is
 Z + Z*omega embedded through z -> (z, z~) with z~ the Galois conjugate.
 All membership, order and symmetry decisions are made in exact
-arithmetic.  Global inversion symmetry is decided from the window alone;
-a patch enumerated within a radius R is a finite sample, which the gap
-and palindrome readings work on.  The walk decides each step on
-integers: a linear integer reading of a + b*sqrt(d) that decides outside
-a proven band around the window edges, and an exact sign test inside it.
-Floats are renderings only.
+arithmetic, and every exact sign and order reads one exact floor,
+``_floor_scaled``.  Global inversion symmetry is decided from the
+window alone; a patch enumerated within a radius R is a finite sample,
+which the gap and palindrome readings work on.  The walk decides each
+step on integers: a linear integer reading of a + b*sqrt(d) that
+decides outside a proven band around the window edges, and an exact
+sign test inside it.  Floats are renderings only; the CLI makes them
+from lattice coordinates (m, n).
 """
 
 from __future__ import annotations
@@ -128,31 +130,17 @@ class FieldElement:
         num = self * o.conjugate()
         return FieldElement(self.d, num.p / norm, num.q / norm)
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
     def conjugate(self):
         """Galois conjugate p - q*sqrt(d)."""
         return FieldElement(self.d, self.p, -self.q)
 
     def sign(self):
-        """Exact sign in {-1, 0, 1}.
-
-        When p and q disagree in sign the winner is whichever of p*p and
-        d*q*q is larger; equality cannot happen for q != 0 since sqrt(d)
-        is irrational.
-        """
-        p, q = self.p, self.q
-        if q == 0:
-            return (p > 0) - (p < 0)
-        if p == 0:
-            return 1 if q > 0 else -1
-        if (p > 0) == (q > 0):
-            return 1 if p > 0 else -1
-        return (1 if p > 0 else -1) if p * p > q * q * self.d else (1 if q > 0 else -1)
+        """Exact sign in {-1, 0, 1}, read off the exact floor: for q != 0
+        the value is irrational, so it is positive exactly when its floor
+        is not negative."""
+        if self.q == 0:
+            return (self.p > 0) - (self.p < 0)
+        return 1 if self.floor() >= 0 else -1
 
     def __eq__(self, other):
         o = self._coerce(other)

@@ -64,6 +64,8 @@ def rule_from_dict(data):
     """
     try:
         alphabet = Alphabet(data["alphabet"])
+        if not isinstance(data["images"], dict):
+            raise ValueError("rule file images must be an object mapping each symbol to its image")
         rule = SubstitutionRule.from_mapping(alphabet, data["images"])
     except KeyError as exc:
         raise ValueError(f"rule file missing key {exc}") from None

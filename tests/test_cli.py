@@ -100,6 +100,20 @@ EXCLUSION_CASES += [
     (None, ["rs-table", "--format", "tsv", "--golden"]),
 ]
 EXCLUSION_DIGESTS = Path(__file__).parent / "data" / "exclusion_digests.json"
+# Spectrum runs whose CLI output is pinned by sha256 digests in
+# data/spectrum_digests.json: the free operator, Fibonacci and
+# four-letter Rudin-Shapiro potentials, the TSV format, the Neumann
+# boundary and a potential spanning 300 orders of magnitude.
+SPECTRUM_RULES = {"fib": FIB_RULE, "rs": RS_RULE}
+SPECTRUM_CASES = [
+    (None, ["spectrum", "--size", "100"]),
+    ("fib", ["spectrum", "--values", "a=0,b=1", "--lambda", "2", "--size", "100"]),
+    ("rs", ["spectrum", "--values", "a=1,b=-1,c=2,d=-2", "--size", "80"]),
+    ("fib", ["spectrum", "--values", "a=0,b=1", "--size", "60", "--format", "tsv"]),
+    ("fib", ["spectrum", "--values", "a=0,b=1", "--size", "60", "--boundary", "neumann"]),
+    ("fib", ["spectrum", "--values", "a=-1e300,b=1", "--size", "20"]),
+]
+SPECTRUM_DIGESTS = Path(__file__).parent / "data" / "spectrum_digests.json"
 
 
 @pytest.fixture
@@ -351,6 +365,25 @@ def test_exclusion_output_bytes_are_pinned(tmp_path):
     assert got == want
 
 
+def spectrum_digest(directory, name, argv):
+    """Key and sha256 of the bytes one spectrum-corpus run writes."""
+    key = " ".join(argv if name is None else [name, *argv])
+    out = Path(directory) / "case.out"
+    argv = [*argv, "-o", str(out)]
+    if name is not None:
+        rule = Path(directory) / f"{name}.json"
+        rule.write_text(json.dumps(SPECTRUM_RULES[name]))
+        argv[1:1] = ["--rule", str(rule)]
+    assert cli.main(argv) == 0, key
+    return key, hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def test_spectrum_output_bytes_are_pinned(tmp_path):
+    want = json.loads(SPECTRUM_DIGESTS.read_text())
+    got = dict(spectrum_digest(tmp_path, name, argv) for name, argv in SPECTRUM_CASES)
+    assert got == want
+
+
 def test_spectrum_free_case(capsys):
     code, data = run_json(capsys, ["spectrum", "--size", "3"])
     assert code == 0
@@ -380,7 +413,11 @@ def test_spectrum_rejects_repeated_values(files, capsys):
         ["spectrum", "--rule", rule, "--values", "a=1,b=1", "--lambda", "2", "--size", "5"]
     )
     assert code == 2
-    assert "pairwise different" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: potential values must be pairwise different\n"
+    # A letter assigned twice once ran silently with its last value.
+    code = cli.main(["spectrum", "--rule", rule, "--values", "a=0,a=1,b=2", "--size", "5"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --values assigns 'a' twice\n"
 
 
 def test_spectrum_tolerance_below_float_spacing():
@@ -543,6 +580,11 @@ RULE_ARGV = ["exclude", "--nmax", "5", "--rule"]
         (SPEC_ARGV, '{"d": 5, "window": {"lo": "1/0", "hi": "4/3"}}'),
         (RULE_ARGV, '{"alphabet": ["a", "b"], "images": {"a": "ab", "b": 5}}'),
         (RULE_ARGV, '{"alphabet": 5, "images": {"a": "ab", "b": "a"}}'),
+        # JSON booleans once ran as the integers 0 and 1.
+        (SPEC_ARGV, '{"d": 5, "window": {"lo": true, "hi": "4/3"}}'),
+        (SPEC_ARGV, '{"d": 5, "window": {"lo": {"p": true}, "hi": "4/3"}}'),
+        (SPEC_ARGV, '{"d": 5, "window": {"lo": {"p": "1/3", "q": false}, "hi": "4/3"}}'),
+        (SPEC_ARGV, '{"d": 5, "window": {"lo": "1/3", "hi": "4/3"}, "R": true}'),
     ],
 )
 def test_malformed_input_file_exits_2(tmp_path, capsys, argv, text):
@@ -550,6 +592,14 @@ def test_malformed_input_file_exits_2(tmp_path, capsys, argv, text):
     path.write_text(text)
     assert cli.main(argv + [str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_rule_images_must_be_an_object(files, capsys):
+    # A list of images once read as a mapping with no symbol in it.
+    rule = files("list.json", {"alphabet": ["a", "b"], "images": ["ab", "a"]})
+    assert cli.main(RULE_ARGV + [rule]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: rule file images must be an object mapping each symbol to its image\n"
 
 
 @pytest.mark.parametrize("d", [5.9, True, "5"])

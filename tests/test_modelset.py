@@ -92,6 +92,63 @@ def test_field_floor_is_exact(p, q):
     assert z.ceil() == -((-z).floor())
 
 
+def squares_sign(p, q, d):
+    """Sign of p + q*sqrt(d) without any floor: when p and q disagree in
+    sign, the larger of p*p and d*q*q wins (they differ for q != 0, as
+    sqrt(d) is irrational)."""
+    if q == 0:
+        return (p > 0) - (p < 0)
+    if p == 0:
+        return 1 if q > 0 else -1
+    if (p > 0) == (q > 0):
+        return 1 if p > 0 else -1
+    return (1 if p > 0 else -1) if p * p > d * q * q else (1 if q > 0 else -1)
+
+
+def squares_floor(p, q, d):
+    """floor(p + q*sqrt(d)) from squares_sign alone: gallop out from 0 to
+    integers lo < hi with value - lo >= 0 > value - hi, then bisect."""
+    lo, hi = (0, 1) if squares_sign(p, q, d) >= 0 else (-1, 0)
+    while squares_sign(p - hi, q, d) >= 0:
+        lo, hi = hi, 2 * hi
+    while squares_sign(p - lo, q, d) < 0:
+        lo, hi = 2 * lo, lo
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if squares_sign(p - mid, q, d) >= 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def assert_sign_and_floor_match_squares(z):
+    assert z.sign() == squares_sign(z.p, z.q, z.d), z
+    assert z.floor() == squares_floor(z.p, z.q, z.d), z
+
+
+@given(st.sampled_from([2, 3, 5, 7]), rationals, rationals)
+def test_field_sign_and_floor_match_the_squares_rule(d, p, q):
+    assert_sign_and_floor_match_squares(FieldElement(d, p, q))
+
+
+def test_field_sign_and_floor_of_near_cancelling_unit_powers():
+    # psi^k = ((1 - sqrt(5)) / 2)^k and (1 - sqrt(2))^k have coefficients
+    # of size about |unit|^-k and values of size |unit|^k, down to about
+    # 1e-42 and 1e-77 at k = 200: each value is a near-total cancellation.
+    units = (FieldElement(5, Fraction(1, 2), Fraction(-1, 2)), FieldElement(2, 1, -1))
+    offsets = [Fraction(0)] + [
+        sign * Fraction(1, 10**e) for e in (0, 30, 45, 60, 90) for sign in (1, -1)
+    ]
+    for unit in units:
+        power = FieldElement(unit.d, 1)
+        for _ in range(201):
+            for z in (power, -power):
+                for offset in offsets:
+                    assert_sign_and_floor_match_squares(z + offset)
+            power = power * unit
+
+
 def test_field_floor_of_tiny_element_with_huge_coefficients():
     # (L_200 - F_200 * sqrt(5)) / 2 = psi^200, psi = (1 - sqrt(5)) / 2, is
     # about 1e-42 while its float value is off by about 4e25; a floor
