@@ -11,6 +11,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_string
 
 from . import modelset, rudin_shapiro, spectral, substitution, words
 
@@ -22,8 +23,55 @@ def _positive_int(text):
     return value
 
 
+class _KeyPrefixes(dict):
+    """The ``"key": `` text of each key, made on first use."""
+
+    def __missing__(self, key):
+        text = self[key] = _json_string(key) + ": "
+        return text
+
+
 def _json_text(payload):
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)``
+    and a newline, byte for byte, for payloads with string keys.
+
+    Below CPython 3.13 ``json.dumps`` with an indent runs its pure-Python
+    encoder, one generator step per token, which took longer than the
+    patch itself on a ``generate`` payload.  This renderer joins each
+    container's parts once and memoises the ``"key": `` prefixes for the
+    call.  A non-finite float raises ValueError, as with allow_nan=False.
+    """
+    prefixes = _KeyPrefixes()
+
+    def render(value, indent):
+        if isinstance(value, str):
+            return _json_string(value)
+        if isinstance(value, int):
+            return "true" if value is True else "false" if value is False else int.__repr__(value)
+        if isinstance(value, float):
+            if not math.isfinite(value):
+                raise ValueError(f"out of range float values are not JSON compliant: {value!r}")
+            return float.__repr__(value)
+        if value is None:
+            return "null"
+        inner = indent + "  "
+        parts = []
+        # Loops, not comprehensions: before 3.12 each comprehension is a call.
+        if isinstance(value, dict):
+            for k, v in sorted(value.items()):
+                parts.append(prefixes[k] + render(v, inner))
+            brackets = "{}"
+        elif isinstance(value, (list, tuple)):
+            for v in value:
+                parts.append(render(v, inner))
+            brackets = "[]"
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        if not parts:
+            return brackets
+        return brackets[0] + inner + ("," + inner).join(parts) + indent + brackets[1]
+
+    return render(payload, "\n") + "\n"
 
 
 def _f15(x):
@@ -142,8 +190,9 @@ def cmd_rs_table(args):
 
 
 def _fraction(raw):
-    """Fraction(raw), with a ValueError for every value it cannot read."""
-    if isinstance(raw, bool):
+    """Fraction(raw), with a ValueError for every value it cannot read.
+    JSON floats are refused: a binary float is not the decimal written."""
+    if isinstance(raw, (bool, float)):
         raise ValueError(f"bad number {raw!r}: use an integer or 'p/q'")
     try:
         return Fraction(raw)
@@ -152,7 +201,7 @@ def _fraction(raw):
 
 
 def _parse_field_value(field, raw):
-    if isinstance(raw, (str, int)):
+    if isinstance(raw, (str, int, float)):
         return field.element(_fraction(raw))
     if isinstance(raw, dict):
         return field.element(_fraction(raw.get("p", 0)), _fraction(raw.get("q", 0)))
@@ -264,6 +313,8 @@ def _ids_grid(lo, hi):
 
 
 def cmd_spectrum(args):
+    if not math.isfinite(args.coupling):
+        raise ValueError(f"--lambda must be finite, got {args.coupling}")
     if args.rule:
         rule, seed = _load_rule(args.rule)
         substitution.require_primitive(rule)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import string
 from collections import Counter
 from dataclasses import dataclass
@@ -505,33 +506,64 @@ def inversion_witness(window, lattice):
     return None if c is None else -c
 
 
-def _manacher(word):
-    """Radii of maximal odd and even palindromes at every position.
+def _manacher(word, even):
+    """Manacher's radii of the maximal palindromes at every position:
+    odd ones for ``even`` 0, where d[i] counts letters from the center i
+    (inclusive), and even ones for ``even`` 1, where d[i] is the
+    half-length of the palindrome centred between i-1 and i.
 
-    d1[i] counts letters from the center of the longest odd palindrome
-    centered at i (inclusive); d2[i] is the half-length of the longest
-    even palindrome whose center falls between i-1 and i.
+    A centre i is expanded letter by letter up to its palindrome's end.
+    Inside it, position j has the radius r of its mirror 2i - j whenever
+    the mirrored palindrome ends strictly inside (r < end - j), the lemma
+    behind the textbook scan; such radii are copied, the first eight one
+    at a time and the rest as reversed slices in doubling chunks.  The
+    first j whose mirror reaches the left end starts from end - j and is
+    the next centre, since its palindrome ends no sooner than i's.
     """
     n = len(word)
-    d1 = [0] * n
-    left, right = 0, -1
+    d = [0] * n
+    base = 1 - even
+    nxt, k = 0, base
     for i in range(n):
-        k = 1 if i > right else min(d1[left + right - i], right - i + 1)
-        while i - k >= 0 and i + k < n and word[i - k] == word[i + k]:
+        if i < nxt:
+            continue
+        lo = i - even
+        while k <= lo and i + k < n and word[lo - k] == word[i + k]:
             k += 1
-        d1[i] = k
-        if i + k - 1 > right:
-            left, right = i - k + 1, i + k - 1
-    d2 = [0] * n
-    left, right = 0, -1
-    for i in range(n):
-        k = 0 if i > right else min(d2[left + right - i + 1], right - i + 1)
-        while i - k - 1 >= 0 and i + k < n and word[i - k - 1] == word[i + k]:
-            k += 1
-        d2[i] = k
-        if i + k - 1 > right:
-            left, right = i - k, i + k - 1
-    return d1, d2
+        d[i] = k
+        if k <= 1:
+            k = base
+            continue
+        r = d[i - 1]
+        if r >= k - 1:
+            k -= 1
+            continue
+        d[i + 1] = r
+        end = i + k
+        twice = i + i
+        for j in range(i + 2, min(end, i + 9)):
+            r = d[twice - j]
+            if r >= end - j:
+                break
+            d[j] = r
+        else:
+            j, step = i + 9, 16
+            while j < end:
+                stop = min(end, j + step)
+                mirror = d[twice - stop + 1 : twice - j + 1]
+                mirror.reverse()
+                reach = map(operator.ge, mirror, range(end - j, end - stop, -1))
+                hit = next(itertools.compress(itertools.count(j), reach), stop)
+                d[j:hit] = mirror[: hit - j]
+                if hit < stop:
+                    j = hit
+                    break
+                j, step = stop, step + step
+            else:
+                nxt, k = end, base
+                continue
+        nxt, k = j, end - j
+    return d
 
 
 def palindrome_scan(word, top=None):
@@ -541,11 +573,12 @@ def palindrome_scan(word, top=None):
     are reported doubled so half-integers stay exact.  Results are sorted
     by length descending, then by center.  ``top`` keeps the first ``top``
     rows: a length histogram finds the top-th length, and only rows at
-    least that long are built and sorted.
+    least that long are built and sorted.  ``_manacher`` gives the
+    textbook scan's radii, copying mirrored ones in bulk.
     """
     if top is not None and top < 0:
         raise ValueError(f"top must be non-negative, got {top}")
-    d1, d2 = _manacher(word)
+    d1, d2 = _manacher(word, 0), _manacher(word, 1)
     # Odd row i has center 2i and length 2*d1[i] - 1; even row i has center
     # 2i - 1 and length 2*d2[i], and exists when d2[i] > 0.
     shortest = 1

@@ -5,6 +5,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import run_python
 from aperiodica import cli
@@ -440,6 +441,50 @@ def test_spectrum_rejects_non_finite_input(files, capsys):
     assert "finite" in proc.stderr
 
 
+@pytest.mark.parametrize("coupling", ["nan", "inf", "-inf"])
+def test_spectrum_rejects_non_finite_lambda(capsys, coupling):
+    # The free operator never reads the coupling, and once printed
+    # "lambda": NaN, which is not JSON.
+    assert cli.main(["spectrum", "--size", "2", f"--lambda={coupling}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --lambda must be finite")
+
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**400), 10**400)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 1e308, -1e308])
+    | st.text()
+    | st.text(st.characters(max_codepoint=0x3F))
+)
+json_payloads = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text() | st.text(st.characters(max_codepoint=0x3F)), inner, max_size=4),
+    max_leaves=40,
+)
+
+
+@given(json_payloads)
+def test_json_text_matches_json_dumps(payload):
+    expected = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    assert cli._json_text(payload) == expected
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_json_text_rejects_non_finite_floats(bad):
+    for payload in (bad, [1, bad], {"a": {"b": (bad,)}}):
+        with pytest.raises(ValueError):
+            json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        with pytest.raises(ValueError):
+            cli._json_text(payload)
+
+
 def _reject_constant(name):
     raise ValueError(f"not JSON: {name}")
 
@@ -585,6 +630,10 @@ RULE_ARGV = ["exclude", "--nmax", "5", "--rule"]
         (SPEC_ARGV, '{"d": 5, "window": {"lo": {"p": true}, "hi": "4/3"}}'),
         (SPEC_ARGV, '{"d": 5, "window": {"lo": {"p": "1/3", "q": false}, "hi": "4/3"}}'),
         (SPEC_ARGV, '{"d": 5, "window": {"lo": "1/3", "hi": "4/3"}, "R": true}'),
+        # JSON floats once ran as their binary values (R = 0.1, p = 0.5).
+        (SPEC_ARGV, '{"d": 5, "window": {"lo": "1/3", "hi": "4/3"}, "R": 0.1}'),
+        (SPEC_ARGV, '{"d": 5, "window": {"lo": {"p": 0.5}, "hi": "4/3"}}'),
+        (SPEC_ARGV, '{"d": 5, "window": {"lo": 0.5, "hi": "4/3"}}'),
     ],
 )
 def test_malformed_input_file_exits_2(tmp_path, capsys, argv, text):

@@ -22,7 +22,7 @@ from aperiodica.modelset import (
     palindrome_scan,
     star,
 )
-from aperiodica.modelset import _row_points
+from aperiodica.modelset import _manacher, _row_points
 from aperiodica.rudin_shapiro import rs_binary_prefix
 from aperiodica.substitution import atlas_chain, fibonacci_rule
 
@@ -563,6 +563,73 @@ def test_palindrome_scan_top_rows():
     assert palindrome_scan((), top=3) == []
     with pytest.raises(ValueError):
         palindrome_scan((0, 1), top=-1)
+
+
+def manacher_oracle(word):
+    """The textbook scan: one radius per step, each started from its
+    mirror's and expanded letter by letter."""
+    n = len(word)
+    d1 = [0] * n
+    left, right = 0, -1
+    for i in range(n):
+        k = 1 if i > right else min(d1[left + right - i], right - i + 1)
+        while i - k >= 0 and i + k < n and word[i - k] == word[i + k]:
+            k += 1
+        d1[i] = k
+        if i + k - 1 > right:
+            left, right = i - k + 1, i + k - 1
+    d2 = [0] * n
+    left, right = 0, -1
+    for i in range(n):
+        k = 0 if i > right else min(d2[left + right - i + 1], right - i + 1)
+        while i - k - 1 >= 0 and i + k < n and word[i - k - 1] == word[i + k]:
+            k += 1
+        d2[i] = k
+        if i + k - 1 > right:
+            left, right = i - k, i + k - 1
+    return d1, d2
+
+
+@st.composite
+def mirrored_words(draw):
+    """Words over 1-4 letters grown by appending letters and mirror images
+    of the word so far, so that long palindromes nest in each other."""
+    letters = st.integers(0, draw(st.integers(0, 3)))
+    word = draw(st.lists(letters, max_size=6))
+    for grow in draw(st.lists(st.sampled_from(("letter", "mirror", "mirror tail")), max_size=8)):
+        if grow == "letter":
+            word.append(draw(letters))
+        elif grow == "mirror":
+            word += word[::-1]
+        else:
+            word += word[::-1][draw(st.integers(0, 3)) :]
+    return tuple(word[:2000])
+
+
+@given(st.integers(0, 3).flatmap(lambda m: st.lists(st.integers(0, m), max_size=300)) | mirrored_words())
+def test_manacher_matches_the_textbook_scan(word):
+    word = tuple(word)
+    assert (_manacher(word, 0), _manacher(word, 1)) == manacher_oracle(word)
+
+
+def test_manacher_on_long_structured_words():
+    n = 20000
+    words = {
+        "constant": (0,) * n,
+        "period 2": tuple(i % 2 for i in range(n)),
+        "Thue-Morse": tuple(bin(i).count("1") % 2 for i in range(n)),
+        "Rudin-Shapiro": rs_binary_prefix(n),
+    }
+    sqrt2 = LatticeSpec(QuadField(2))
+    for name, lattice, window in (
+        ("paper window", LAT, fib_window()),
+        ("three-gap", LAT, Window(GOLDEN.element(Fraction(-3, 5)), GOLDEN.element(Fraction(7, 10)))),
+        ("sqrt(2)", sqrt2, Window(sqrt2.field.element(Fraction(1, 5)), sqrt2.field.element(Fraction(8, 5)))),
+    ):
+        words[name] = gaps_to_letters(enumerate_patch(lattice, window, 20000)).letters
+    for name, word in words.items():
+        assert len(word) >= 15000, name
+        assert (_manacher(word, 0), _manacher(word, 1)) == manacher_oracle(word), name
 
 
 def test_rs_binary_palindromes_cap_at_fourteen():
