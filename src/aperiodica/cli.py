@@ -93,7 +93,8 @@ def _json_object(value, what):
 
 
 def _load_json(path):
-    with open(path) as fh:
+    # Bytes, so that json.load detects UTF-8, -16 or -32 whatever the locale.
+    with open(path, "rb") as fh:
         return _json_object(json.load(fh), f"file {path}")
 
 
@@ -354,68 +355,104 @@ def cmd_spectrum(args):
     return 0
 
 
-def build_parser():
+def _atlas_arguments(p):
+    p.add_argument("--rule", required=True, help="rule JSON file")
+    p.add_argument("-N", dest="n", type=_positive_int, required=True)
+    p.add_argument("--method", choices=("induction", "window", "both"), default="induction")
+    p.set_defaults(func=cmd_atlas)
+
+
+def _exclude_arguments(p):
+    p.add_argument("--rule", required=True)
+    p.add_argument("--nmax", type=_positive_int, required=True)
+    p.add_argument("--phi", action="store_true", help="collapse a,b->0 and c,d->1 first")
+    p.set_defaults(func=cmd_exclude)
+
+
+def _rs_table_arguments(p):
+    p.add_argument("--nmax", type=_positive_int, default=20)
+    p.add_argument("--golden", action="store_true", help="compare against the stored table")
+    p.add_argument("--format", choices=("json", "tsv"), default="json")
+    p.set_defaults(func=cmd_rs_table)
+
+
+def _modelset_arguments(p):
+    p.add_argument("--spec", required=True, help="model set JSON file")
+    p.add_argument(
+        "--action",
+        choices=("generate", "check-window", "symmetry", "palindromes"),
+        default="generate",
+    )
+    p.add_argument("-R", dest="radius", help="override the spec's radius (rational)")
+    p.add_argument("--top", type=_positive_int, default=100, help="palindrome rows to emit")
+    p.set_defaults(func=cmd_modelset)
+
+
+def _spectrum_arguments(p):
+    p.add_argument("--rule", help="substitution rule supplying the potential letters")
+    p.add_argument("--values", help="letter values, e.g. a=0,b=1")
+    p.add_argument("--lambda", dest="coupling", type=float, default=1.0)
+    p.add_argument("--size", type=_positive_int, required=True)
+    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument(
+        "--boundary",
+        choices=(spectral.BOUNDARY_DIRICHLET, spectral.BOUNDARY_NEUMANN),
+        default=spectral.BOUNDARY_DIRICHLET,
+    )
+    p.add_argument("--format", choices=("json", "tsv"), default="json")
+    p.set_defaults(func=cmd_spectrum)
+
+
+# One entry per subcommand, in the order help lists them: name, help
+# text, and the function that adds its arguments (all but the shared
+# -o) and its handler.  The handlers are looked up when a parser is
+# built, not stored here, so a wrapper set on the module attribute is
+# the one that runs.
+_COMMANDS = (
+    ("atlas", "factor atlas of a substitution rule", _atlas_arguments),
+    ("exclude", "palindrome exclusion verdict", _exclude_arguments),
+    ("rs-table", "Rudin-Shapiro complexity/palindrome table", _rs_table_arguments),
+    ("modelset", "cut-and-project pipelines", _modelset_arguments),
+    ("spectrum", "finite-section eigenvalues and IDS", _spectrum_arguments),
+)
+_COMMAND_CHOICES = "{" + ",".join(name for name, _, _ in _COMMANDS) + "}"
+
+
+def build_parser(command=None):
+    """The command line parser; with ``command`` one of the subcommand
+    names, only that subcommand's parser is built.
+
+    A run parses a single subcommand, and building the other four cost
+    more than an ``exclude`` verdict (every ``add_argument`` makes a help
+    formatter, which asks for the terminal size).  The subparsers'
+    metavar keeps the full command list in the usage line that top-level
+    errors print.  For any other ``command`` (None, ``-h``, an unknown
+    word) every subcommand is built and the metavar is left unset, since
+    argparse also puts it where "argument command: invalid choice" and
+    "required: command" name the argument.
+    """
     parser = argparse.ArgumentParser(
         prog="aperiodica",
         description="Factor atlases, palindrome exclusion, Rudin-Shapiro tables, "
         "cut-and-project model sets and finite tight-binding probes.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_atlas = sub.add_parser("atlas", help="factor atlas of a substitution rule")
-    p_atlas.add_argument("--rule", required=True, help="rule JSON file")
-    p_atlas.add_argument("-N", dest="n", type=_positive_int, required=True)
-    p_atlas.add_argument("--method", choices=("induction", "window", "both"), default="induction")
-    p_atlas.add_argument("-o", "--output")
-    p_atlas.set_defaults(func=cmd_atlas)
-
-    p_excl = sub.add_parser("exclude", help="palindrome exclusion verdict")
-    p_excl.add_argument("--rule", required=True)
-    p_excl.add_argument("--nmax", type=_positive_int, required=True)
-    p_excl.add_argument("--phi", action="store_true", help="collapse a,b->0 and c,d->1 first")
-    p_excl.add_argument("-o", "--output")
-    p_excl.set_defaults(func=cmd_exclude)
-
-    p_table = sub.add_parser("rs-table", help="Rudin-Shapiro complexity/palindrome table")
-    p_table.add_argument("--nmax", type=_positive_int, default=20)
-    p_table.add_argument("--golden", action="store_true", help="compare against the stored table")
-    p_table.add_argument("--format", choices=("json", "tsv"), default="json")
-    p_table.add_argument("-o", "--output")
-    p_table.set_defaults(func=cmd_rs_table)
-
-    p_model = sub.add_parser("modelset", help="cut-and-project pipelines")
-    p_model.add_argument("--spec", required=True, help="model set JSON file")
-    p_model.add_argument(
-        "--action",
-        choices=("generate", "check-window", "symmetry", "palindromes"),
-        default="generate",
-    )
-    p_model.add_argument("-R", dest="radius", help="override the spec's radius (rational)")
-    p_model.add_argument("--top", type=_positive_int, default=100, help="palindrome rows to emit")
-    p_model.add_argument("-o", "--output")
-    p_model.set_defaults(func=cmd_modelset)
-
-    p_spec = sub.add_parser("spectrum", help="finite-section eigenvalues and IDS")
-    p_spec.add_argument("--rule", help="substitution rule supplying the potential letters")
-    p_spec.add_argument("--values", help="letter values, e.g. a=0,b=1")
-    p_spec.add_argument("--lambda", dest="coupling", type=float, default=1.0)
-    p_spec.add_argument("--size", type=_positive_int, required=True)
-    p_spec.add_argument("--tol", type=float, default=1e-12)
-    p_spec.add_argument(
-        "--boundary",
-        choices=(spectral.BOUNDARY_DIRICHLET, spectral.BOUNDARY_NEUMANN),
-        default=spectral.BOUNDARY_DIRICHLET,
-    )
-    p_spec.add_argument("--format", choices=("json", "tsv"), default="json")
-    p_spec.add_argument("-o", "--output")
-    p_spec.set_defaults(func=cmd_spectrum)
-
+    entries = [entry for entry in _COMMANDS if entry[0] == command]
+    if entries:
+        sub = parser.add_subparsers(dest="command", required=True, metavar=_COMMAND_CHOICES)
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+        entries = _COMMANDS
+    for name, help_text, add_arguments in entries:
+        command_parser = sub.add_parser(name, help=help_text)
+        add_arguments(command_parser)
+        command_parser.add_argument("-o", "--output")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except substitution.NotPrimitiveError as exc:

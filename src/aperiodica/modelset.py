@@ -367,8 +367,16 @@ def _row_points(lattice, lo, hi, x_lo, x_hi):
     return out
 
 
+# A generate payload of this many points peaks near 200 MiB on CPython
+# 3.11; the largest patch the tests build has about 107000 points.
+MAX_PATCH_POINTS = 250_000
+
+
 def enumerate_patch(lattice, window, radius):
     """All lattice points z with |z| <= radius whose star image lies in the window.
+
+    A radius whose expected point count 2R|W| / |omega - omega*| exceeds
+    ``MAX_PATCH_POINTS`` is refused with ValueError before the walk.
 
     The patch is walked gap by gap from its least point: the successor of
     x is x + g for the smallest lattice g > 0 with x* + g* in the window.
@@ -391,6 +399,13 @@ def enumerate_patch(lattice, window, radius):
         raise ValueError("window and lattice use different fields")
     lo, hi = window.lo, window.hi
     width = hi - lo
+    # |omega - omega*| is the lattice's covolume, so the model set has
+    # density |W| / |omega - omega*| and the patch about 2R times that.
+    if width * (2 * R) > (lattice.omega() - lattice.omega_star()) * MAX_PATCH_POINTS:
+        raise ValueError(
+            f"radius R = {R} expects more than {MAX_PATCH_POINTS} points "
+            f"(2R|W|/|omega - omega*|), the patch cap MAX_PATCH_POINTS"
+        )
     exact = lattice.element
 
     def extreme(pick, x_lo, x_hi):

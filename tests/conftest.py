@@ -61,10 +61,11 @@ def brute_maximal_palindromes(word):
     return best
 
 
-def run_python(*args, timeout=60):
+def run_python(*args, timeout=60, env=None):
     """Run the interpreter with ``args`` in a child process that imports
-    this checkout's package, so that a hang fails the test by timeout."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    this checkout's package, so that a hang fails the test by timeout.
+    ``env`` adds or overrides environment variables of the child."""
+    env = dict(os.environ, **(env or {}), PYTHONPATH=str(SRC))
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, timeout=timeout, env=env
     )

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -678,3 +679,109 @@ def test_output_file_and_determinism(files, capsys, tmp_path):
     assert cli.main(["modelset", "--spec", spec, "-R", "80", "-o", str(target)]) == 0
     assert target.read_bytes() == first
     assert json.loads(first)["count"] > 0
+
+
+def test_modelset_radius_past_the_patch_cap_exits_2(files):
+    # R = 1e400 once walked the paper window until memory ran out; under a
+    # 400 MB address-space limit it died with a MemoryError traceback and
+    # exit 1.  The radius is now refused before any point is built.
+    spec = files("fib.json", FIB_SPEC)
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
+        "from aperiodica import cli\n"
+        f"sys.exit(cli.main(['modelset', '--spec', {spec!r}, '--action', 'symmetry', '-R', '1e400']))\n"
+    )
+    proc = run_python("-c", code, timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"error: radius R = {10**400} ")
+    assert "more than 250000 points" in proc.stderr and "MAX_PATCH_POINTS" in proc.stderr
+
+
+def test_input_files_are_read_as_utf8_in_any_locale(files):
+    # Text-mode reading once decoded rule files with the locale's codec,
+    # so in the C locale this rule exited 2 on the byte 0xce of "α".
+    rule = files("greek.json", {"alphabet": ["α", "β"], "images": {"α": "αβ", "β": "α"}})
+    c_locale = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    proc = run_python("-m", "aperiodica.cli", "atlas", "--rule", rule, "-N", "2", env=c_locale)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["words"] == ["αα", "αβ", "βα"]
+
+
+# Arguments each command parses without error, so that a trailing word
+# reaches the top-level parser's "unrecognized arguments" error.
+VALID_ARGV = {
+    "atlas": ["--rule", "r.json", "-N", "2"],
+    "exclude": ["--rule", "r.json", "--nmax", "2"],
+    "rs-table": ["--nmax", "2"],
+    "modelset": ["--spec", "s.json"],
+    "spectrum": ["--size", "2"],
+}
+PARSER_CORPUS = (
+    [[], ["-h"], ["frobnicate"], ["exc"], ["--", "exclude"]]
+    + [[command, "-h"] for command in VALID_ARGV]
+    + [[command, *argv, "extra"] for command, argv in VALID_ARGV.items()]
+    + [
+        ["atlas", "--rule", "r.json", "-N", "2", "--method", "nope"],
+        ["spectrum", "--size", "2", "--boundary", "periodic"],
+        ["exclude", "--rule", "r.json", "--nmax", "zero"],
+        ["spectrum", "--size", "2", "--lambda", "strong"],
+        ["rs-table", "--nmax", "0"],
+        ["exclude", "--nmax", "2"],
+        ["modelset"],
+        # Parsed cleanly, so these reach dispatch.
+        ["rs-table", "--nmax", "3", "--format", "tsv"],
+        ["spectrum", "--size", "2"],
+        ["exclude", "--rule", "missing.json", "--nmax", "2"],
+    ]
+)
+
+
+def cli_outcome(capsys, argv=None):
+    """Exit code, standard output and standard error of one ``cli.main`` call."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("columns", ["60", "200"])
+@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
+def test_parser_of_one_command_matches_the_full_parser(capsys, monkeypatch, argv, columns):
+    # main builds only the named command's parser; help, usage, errors
+    # and exit codes must be those of the parser with every command.
+    monkeypatch.setenv("COLUMNS", columns)
+    got = cli_outcome(capsys, argv)
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser(None))
+    assert got == cli_outcome(capsys, argv)
+
+
+def test_main_reads_sys_argv_and_builds_one_command(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(
+        cli,
+        "_COMMANDS",
+        tuple(
+            (name, help_text, lambda p, name=name, add=add: (built.append(name), add(p)))
+            for name, help_text, add in cli._COMMANDS
+        ),
+    )
+    monkeypatch.setattr(sys, "argv", ["aperiodica", "rs-table", "--nmax", "4"])
+    from_sys_argv = cli_outcome(capsys)
+    assert built == ["rs-table"]
+    assert from_sys_argv == cli_outcome(capsys, ["rs-table", "--nmax", "4"])
+    assert from_sys_argv[0] == 0 and from_sys_argv[1].startswith("{")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [([], "the following arguments are required: command"), (["exc"], "argument command: invalid choice")],
+)
+def test_top_level_errors_name_the_command_argument(capsys, argv, message):
+    code, out, err = cli_outcome(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: aperiodica [-h] {atlas,exclude,rs-table,modelset,spectrum} ...")
+    assert message in err

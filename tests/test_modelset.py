@@ -22,6 +22,7 @@ from aperiodica.modelset import (
     palindrome_scan,
     star,
 )
+from aperiodica import modelset
 from aperiodica.modelset import _manacher, _row_points
 from aperiodica.rudin_shapiro import rs_binary_prefix
 from aperiodica.substitution import atlas_chain, fibonacci_rule
@@ -391,6 +392,17 @@ def test_walk_keeps_boundary_points_far_out():
         window = Window(stars[0][0], stars[1][0])
         walked = assert_walk_matches_oracle(lattice, window, 1000)
         assert set(ends) <= set(walked.coords)
+
+
+def test_patch_cap_follows_the_expected_point_count(monkeypatch):
+    # The paper window holds about 2R / sqrt(5) points within R, so a cap
+    # of 100 points admits R = 111 and refuses R = 112 (100 sqrt(5) / 2
+    # is about 111.8), before any walking.
+    monkeypatch.setattr(modelset, "MAX_PATCH_POINTS", 100)
+    assert 95 <= len(enumerate_patch(LAT, fib_window(), 111)) <= 101
+    for radius in (112, 10**400):
+        with pytest.raises(ValueError, match=f"R = {radius} .* more than 100 points"):
+            enumerate_patch(LAT, fib_window(), radius)
 
 
 def test_tiny_radius_gives_empty_patch():
