@@ -49,7 +49,6 @@ from .rudin_shapiro import (
 from .modelset import (
     FieldElement,
     GapSequence,
-    LatticeSpec,
     ModelSetPatch,
     QuadField,
     Window,

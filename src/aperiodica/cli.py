@@ -212,13 +212,12 @@ def _parse_field_value(field, raw):
 def _load_modelset_spec(path, r_override):
     data = _load_json(path)
     field = modelset.QuadField(data["d"], data.get("omega", modelset.OMEGA_SQRT))
-    lattice = modelset.LatticeSpec(field)
     bounds = _json_object(data["window"], "window")
     window = modelset.Window(
         _parse_field_value(field, bounds["lo"]), _parse_field_value(field, bounds["hi"])
     )
     radius = _fraction(r_override if r_override is not None else data.get("R", "100"))
-    return lattice, window, radius
+    return field, window, radius
 
 
 def _lattice_point(m, n, omega):
@@ -232,34 +231,32 @@ def _lattice_point(m, n, omega):
 
 
 def cmd_modelset(args):
-    lattice, window, radius = _load_modelset_spec(args.spec, args.radius)
-    report = modelset.check_generic(window, lattice)
-    suggestion = None if report.w4 else modelset.genericity_shift(window, lattice)
+    field, window, radius = _load_modelset_spec(args.spec, args.radius)
+    hits = modelset.check_generic(window, field)
+    suggestion = modelset.genericity_shift(window, field) if hits else None
     if args.action == "check-window":
         # W1..W3 hold for every interval window by construction.
         payload = {
             "W1": True,
             "W2": True,
             "W3": True,
-            "W4": report.w4,
-            "witnesses": [str(e) for e in report.boundary_hits],
+            "W4": not hits,
+            "witnesses": [str(e) for e in hits],
             "suggested_shift": str(suggestion) if suggestion is not None else None,
         }
         _emit(_json_text(payload), args.output)
         return 0
     payload = {
-        "d": lattice.field.d,
-        "omega": lattice.field.omega_style,
+        "d": field.d,
+        "omega": field.omega_style,
         "window": {"lo": str(window.lo), "hi": str(window.hi)},
         "R": str(radius),
     }
-    if not report.w4:
-        payload["warning"] = "window is not generic: " + ", ".join(
-            str(e) for e in report.boundary_hits
-        )
+    if hits:
+        payload["warning"] = "window is not generic: " + ", ".join(str(e) for e in hits)
         payload["suggested_shift"] = str(suggestion)
-    patch = modelset.enumerate_patch(lattice, window, radius)
-    omega = float(lattice.omega())
+    patch = modelset.enumerate_patch(field, window, radius)
+    omega = float(field.omega())
     if args.action == "generate":
         payload["count"] = len(patch)
         payload["points"] = [_lattice_point(m, n, omega) for m, n in patch.coords]
@@ -271,11 +268,11 @@ def cmd_modelset(args):
             ]
             payload["sequence"] = seq.alphabet.text(seq.letters)
     elif args.action == "symmetry":
-        witness = modelset.inversion_witness(window, lattice)
+        witness = modelset.inversion_witness(window, field)
         payload["count"] = len(patch)
         payload["centro_symmetry_center"] = str(modelset.centro_symmetry_center(window))
         payload["inversion_witness"] = (
-            None if witness is None else _lattice_point(*lattice.coords(witness), omega)
+            None if witness is None else _lattice_point(*witness, omega)
         )
     else:
         seq = modelset.gaps_to_letters(patch)

@@ -2,6 +2,9 @@
 
 Physical and internal space are both the real line; the lattice is
 Z + Z*omega embedded through z -> (z, z~) with z~ the Galois conjugate.
+One :class:`QuadField` fixes the field and its lattice; the model-set
+API carries each lattice point m + n*omega as its exact (m, n), and
+``FieldElement`` holds internal-space numbers such as window ends.
 All membership, order and symmetry decisions are made in exact
 arithmetic, and every exact sign and order reads one exact floor,
 ``_floor_scaled``.  Global inversion symmetry is decided from the
@@ -18,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import string
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,6 +30,10 @@ from .words import Alphabet, Word
 
 OMEGA_SQRT = "sqrt"
 OMEGA_GOLDEN = "golden"
+
+
+# _is_squarefree trial-divides up to sqrt(d): about 33000 steps at this bound.
+MAX_D = 2**32
 
 
 def _is_squarefree(d):
@@ -43,10 +49,12 @@ def _is_squarefree(d):
 
 @dataclass(frozen=True)
 class QuadField:
-    """The field extending the rationals by sqrt(d), d squarefree and > 1.
+    """The field extending the rationals by sqrt(d), d squarefree with
+    1 < d <= MAX_D, and its lattice {(z, z~) : z = m + n*omega}.
 
     ``omega_style`` picks the lattice generator: "sqrt" for sqrt(d) and
-    "golden" for (1 + sqrt(d)) / 2.
+    "golden" for (1 + sqrt(d)) / 2.  ``element(p, q)`` is the number
+    p + q*sqrt(d), and ``point(m, n)`` the lattice point m + n*omega.
     """
 
     d: int
@@ -54,8 +62,8 @@ class QuadField:
 
     def __post_init__(self):
         d = self.d
-        if not isinstance(d, int) or isinstance(d, bool) or d <= 1 or not _is_squarefree(d):
-            raise ValueError(f"d must be a squarefree integer > 1, got {d!r}")
+        if isinstance(d, bool) or not (isinstance(d, int) and 1 < d <= MAX_D and _is_squarefree(d)):
+            raise ValueError(f"d must be a squarefree integer with 1 < d <= MAX_D = {MAX_D}, got {d!r}")
         if self.omega_style not in (OMEGA_SQRT, OMEGA_GOLDEN):
             raise ValueError(f"unknown omega style {self.omega_style!r}")
 
@@ -66,6 +74,25 @@ class QuadField:
         if self.omega_style == OMEGA_SQRT:
             return FieldElement(self.d, 0, 1)
         return FieldElement(self.d, Fraction(1, 2), Fraction(1, 2))
+
+    def omega_star(self):
+        return self.omega().conjugate()
+
+    def point(self, m, n):
+        """The lattice point m + n*omega in physical space."""
+        return self.element(m) + self.omega() * n
+
+    def star_coords(self, z):
+        """(m, n) with z = m + n*omega~, or None when z is not in the star image."""
+        if z.d != self.d:
+            raise ValueError("element from a different field")
+        if self.omega_style == OMEGA_SQRT:
+            m, n = z.p, -z.q
+        else:
+            m, n = z.p + z.q, -2 * z.q
+        if m.denominator == 1 and n.denominator == 1:
+            return int(m), int(n)
+        return None
 
 
 @total_ordering
@@ -187,50 +214,6 @@ def star(z):
 
 
 @dataclass(frozen=True)
-class LatticeSpec:
-    """The planar lattice {(z, z~) : z = m + n*omega} for a quadratic field."""
-
-    field: QuadField
-
-    def omega(self):
-        return self.field.omega()
-
-    def omega_star(self):
-        return self.field.omega().conjugate()
-
-    def element(self, m, n):
-        """The lattice point m + n*omega in physical space."""
-        return self.field.element(m) + self.omega() * n
-
-    def coords(self, z):
-        """(m, n) with z = m + n*omega, or None when z is not in the lattice."""
-        return self._coords(z, golden_sign=1)
-
-    def star_coords(self, z):
-        """(m, n) with z = m + n*omega~, or None when z is not in the star image."""
-        return self._coords(z, golden_sign=-1)
-
-    def _coords(self, z, golden_sign):
-        if z.d != self.field.d:
-            raise ValueError("element from a different field")
-        if self.field.omega_style == OMEGA_SQRT:
-            m, n = z.p, golden_sign * z.q
-        else:
-            n = golden_sign * 2 * z.q
-            m = z.p - z.q * golden_sign
-        if m.denominator == 1 and n.denominator == 1:
-            return int(m), int(n)
-        return None
-
-    def from_star(self, z):
-        """The lattice point whose star image is z, when z lies in it."""
-        mn = self.star_coords(z)
-        if mn is None:
-            return None
-        return self.element(*mn)
-
-
-@dataclass(frozen=True)
 class Window:
     """Closed internal-space interval [lo, hi] with lo < hi.
 
@@ -259,22 +242,11 @@ def centro_symmetry_center(window):
     return window.lo + window.hi
 
 
-@dataclass(frozen=True)
-class GenericityReport:
-    """The W4 verdict; ``boundary_hits`` lists endpoints lying in the
-    star image of the lattice (the W4 obstructions).  W1..W3 hold for
-    every :class:`Window` by construction."""
-
-    w4: bool
-    boundary_hits: tuple
-
-
 def check_generic(window, lattice):
-    """Decide W4 exactly: neither endpoint may lie in the lattice's star image."""
-    hits = tuple(
-        e for e in (window.lo, window.hi) if lattice.star_coords(e) is not None
-    )
-    return GenericityReport(not hits, hits)
+    """The window ends that lie in the lattice's star image, the W4
+    obstructions: W4 holds exactly when the tuple is empty.  W1..W3 hold
+    for every :class:`Window` by construction."""
+    return tuple(e for e in (window.lo, window.hi) if lattice.star_coords(e) is not None)
 
 
 SHIFT_DENOMINATOR = 16
@@ -290,7 +262,7 @@ def genericity_shift(window, lattice):
     """
     for k in itertools.count(1):
         for s in (Fraction(k, SHIFT_DENOMINATOR), Fraction(-k, SHIFT_DENOMINATOR)):
-            if check_generic(window.shift(s), lattice).w4:
+            if not check_generic(window.shift(s), lattice):
                 return s
 
 
@@ -307,7 +279,7 @@ class ModelSetPatch:
     the palindrome and gap readings hold for this patch only.
     """
 
-    lattice: LatticeSpec
+    lattice: QuadField
     window: Window
     radius: Fraction
     coords: tuple
@@ -340,7 +312,7 @@ def _row_points(lattice, lo, hi, x_lo, x_hi):
     row by row in n, not in physical order.  The inner loop runs on
     integers scaled by a common denominator.
     """
-    d = lattice.field.d
+    d = lattice.d
     omega = lattice.omega()
     omega_star = lattice.omega_star()
     spread = omega - omega_star
@@ -394,7 +366,7 @@ def enumerate_patch(lattice, window, radius):
     R = Fraction(radius)
     if R <= 0:
         raise ValueError("radius must be positive")
-    d = lattice.field.d
+    d = lattice.d
     if window.lo.d != d:
         raise ValueError("window and lattice use different fields")
     lo, hi = window.lo, window.hi
@@ -406,7 +378,7 @@ def enumerate_patch(lattice, window, radius):
             f"radius R = {R} expects more than {MAX_PATCH_POINTS} points "
             f"(2R|W|/|omega - omega*|), the patch cap MAX_PATCH_POINTS"
         )
-    exact = lattice.element
+    exact = lattice.point
 
     def extreme(pick, x_lo, x_hi):
         rows = _row_points(lattice, lo, hi, max(x_lo, -R), min(x_hi, R))
@@ -485,40 +457,33 @@ def enumerate_patch(lattice, window, radius):
 @dataclass(frozen=True)
 class GapSequence:
     """Letterized gap list of a patch: ascending distinct gaps get the
-    letters a, b, ... in order; ``gaps[i]`` is the exact value of letter i."""
+    letters a, b, ... in order; letter i is the gap ``patch.gap_coords[i]``."""
 
     alphabet: Alphabet
     letters: Word
-    gaps: tuple
-
-
-def _gap_symbols(count):
-    if count <= 26:
-        return tuple(string.ascii_lowercase[:count])
-    return tuple(f"g{i}" for i in range(count))
 
 
 def gaps_to_letters(patch):
     """The patch's gap word, read off the walk's record of its steps
-    (``patch.gap_coords`` and ``patch.letters``)."""
+    (``patch.gap_coords`` and ``patch.letters``).  By the three-distance
+    theorem an interval window has at most three gaps, named a, b, c."""
     if len(patch) < 2:
         raise ValueError("need at least two points to read off gaps")
-    alphabet = Alphabet(_gap_symbols(len(patch.gap_coords)))
-    gaps = tuple(patch.lattice.element(*mn) for mn in patch.gap_coords)
-    return GapSequence(alphabet, patch.letters, gaps)
+    return GapSequence(Alphabet("abc"[: len(patch.gap_coords)]), patch.letters)
 
 
 def inversion_witness(window, lattice):
-    """The lattice translation t with -L(W) = L(W) + t for the whole model
-    set L(W), or None when no such t exists.
+    """(m, n) of the lattice translation t = m + n*omega with
+    -L(W) = L(W) + t for the whole model set L(W), or None when no such t
+    exists.
 
     -L(W) = L(-W) and L(W) + t = L(W + t*), while -W = W - c for the
     centre c = lo + hi.  Two closed intervals that hold the same points of
     the dense star image are equal, so t exists exactly when t* = -c, that is
-    when c lies in the star image, and then t = -from_star(c).
+    when c = m + n*omega~ lies in the star image, and then t has (-m, -n).
     """
-    c = lattice.from_star(centro_symmetry_center(window))
-    return None if c is None else -c
+    mn = lattice.star_coords(centro_symmetry_center(window))
+    return None if mn is None else (-mn[0], -mn[1])
 
 
 def _manacher(word, even):

@@ -73,7 +73,7 @@ def build_finite(potential, values, coupling, window=None, boundary=BOUNDARY_DIR
     return TridiagonalOperator(tuple(diag))
 
 
-def _sturm(diagonal, x):
+def sturm_count(op, x):
     """One pass of the leading-principal-minor recursion at x.
 
     Returns ``(count, slope)``: the number of pivots q_i = (a_i - x) -
@@ -85,7 +85,7 @@ def _sturm(diagonal, x):
     slope = 0.0
     dq = 0.0
     r = 0.0  # 1/q of the previous pivot; q = inf before the first, whose pivot is a - x
-    for a in diagonal:
+    for a in op.diagonal:
         dq = dq * r * r - 1.0
         q = (a - x) - r
         if q == 0.0:
@@ -97,15 +97,9 @@ def _sturm(diagonal, x):
     return count, slope
 
 
-def sturm_count(op, x):
-    """Number of eigenvalues strictly below x, via the sign pattern of the
-    leading-principal-minor recursion."""
-    return _sturm(op.diagonal, x)[0]
-
-
 def eigenvalues(op, tol=1e-12):
     """All eigenvalues, ascending, each the midpoint of a bracket [a, b]
-    with sturm_count(a) <= k < sturm_count(b) and b - a <= tol, or a and
+    with Sturm counts count(a) <= k < count(b) and b - a <= tol, or a and
     b adjacent floats however small ``tol`` is.
 
     Every probe's Sturm count is kept, so eigenvalue k starts from the
@@ -147,7 +141,7 @@ def eigenvalues(op, tol=1e-12):
                     y = mid
             if y == a or y == b:
                 break
-            c, slope = _sturm(diagonal, y)
+            c, slope = sturm_count(op, y)
             prev, x = abs(y - x), y
             j = bisect_right(xs, y)
             xs.insert(j, y)

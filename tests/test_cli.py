@@ -698,6 +698,17 @@ def test_modelset_radius_past_the_patch_cap_exits_2(files):
     assert "more than 250000 points" in proc.stderr and "MAX_PATCH_POINTS" in proc.stderr
 
 
+def test_modelset_d_past_the_bound_exits_2(files):
+    # Squarefreeness is decided by trial division up to sqrt(d): d = 10**20 + 39
+    # once ran past a 30 s timeout in check-window.  d above MAX_D is refused.
+    spec = files("huge_d.json", {**FIB_SPEC, "d": 10**20 + 39})
+    argv = ["-m", "aperiodica.cli", "modelset", "--spec", spec, "--action", "check-window"]
+    proc = run_python(*argv, timeout=20)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: d must be a squarefree integer")
+    assert f"MAX_D = {2**32}" in proc.stderr
+
+
 def test_input_files_are_read_as_utf8_in_any_locale(files):
     # Text-mode reading once decoded rule files with the locale's codec,
     # so in the C locale this rule exited 2 on the byte 0xce of "α".

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from conftest import brute_maximal_palindromes, run_python
 from aperiodica.modelset import (
     FieldElement,
-    LatticeSpec,
     ModelSetPatch,
     OMEGA_GOLDEN,
     QuadField,
@@ -28,12 +27,17 @@ from aperiodica.rudin_shapiro import rs_binary_prefix
 from aperiodica.substitution import atlas_chain, fibonacci_rule
 
 GOLDEN = QuadField(5, OMEGA_GOLDEN)
-LAT = LatticeSpec(GOLDEN)
+LAT = GOLDEN
 TAU = GOLDEN.omega()
 
 
 def fib_window():
     return Window(GOLDEN.element(Fraction(1, 3)), GOLDEN.element(Fraction(4, 3)))
+
+
+def gap_values(patch):
+    """The exact value of each letter of the patch's gap word."""
+    return tuple(patch.lattice.point(*mn) for mn in patch.gap_coords)
 
 
 def fibonacci(k):
@@ -59,6 +63,9 @@ def test_quadfield_validation():
     for d in (5.9, 5.0, True, "5"):
         with pytest.raises(ValueError):
             QuadField(d)
+    with pytest.raises(ValueError, match=f"MAX_D = {2**32}"):
+        QuadField(modelset.MAX_D + 1)
+    assert QuadField(2**32 - 1).d == 2**32 - 1  # 3*5*17*257*65537, squarefree
     assert float(QuadField(5, OMEGA_GOLDEN).omega()) == pytest.approx(1.6180339887)
     assert float(QuadField(2).omega()) == pytest.approx(2**0.5)
 
@@ -186,14 +193,11 @@ def test_field_misc():
 
 
 def test_lattice_coords():
-    z = LAT.element(3, -2)
-    assert LAT.coords(z) == (3, -2)
-    assert LAT.coords(GOLDEN.element(Fraction(1, 3))) is None
+    z = LAT.point(3, -2)
     assert LAT.star_coords(star(z)) == (3, -2)
-    assert LAT.from_star(star(z)) == z
-    sqrt2 = LatticeSpec(QuadField(2))
-    z2 = sqrt2.element(-1, 4)
-    assert sqrt2.coords(z2) == (-1, 4)
+    assert LAT.star_coords(GOLDEN.element(Fraction(1, 3))) is None
+    sqrt2 = QuadField(2)
+    z2 = sqrt2.point(-1, 4)
     assert sqrt2.star_coords(star(z2)) == (-1, 4)
 
 
@@ -208,14 +212,14 @@ def test_window_validation_and_center():
 
 
 def test_genericity_verdicts():
-    report = check_generic(Window(GOLDEN.element(0), GOLDEN.element(1)), LAT)
-    assert not report.w4
-    assert GOLDEN.element(0) in report.boundary_hits
-    assert check_generic(fib_window(), LAT).w4
+    hits = check_generic(Window(GOLDEN.element(0), GOLDEN.element(1)), LAT)
+    assert hits
+    assert GOLDEN.element(0) in hits
+    assert not check_generic(fib_window(), LAT)
     tau_conj = star(TAU)
-    report = check_generic(Window(tau_conj, tau_conj + 1), LAT)
-    assert not report.w4
-    assert report.boundary_hits == (tau_conj, tau_conj + 1)
+    hits = check_generic(Window(tau_conj, tau_conj + 1), LAT)
+    assert hits
+    assert hits == (tau_conj, tau_conj + 1)
 
 
 def test_genericity_shift_suggestion():
@@ -230,7 +234,7 @@ def test_patch_points_satisfy_window_exactly():
     patch = enumerate_patch(LAT, fib_window(), 50)
     window = fib_window()
     assert len(patch) > 0
-    points = [patch.lattice.element(*mn) for mn in patch.coords]
+    points = [patch.lattice.point(*mn) for mn in patch.coords]
     for z in points:
         assert window.contains(star(z))
         assert not (z < -Fraction(50)) and not (Fraction(50) < z)
@@ -251,9 +255,9 @@ def oracle_patch(lattice, window, radius):
     differences, whose distinct values are sorted the same way."""
     R = Fraction(radius)
     rows = _row_points(lattice, window.lo, window.hi, -R, R)
-    coords = tuple(sorted(rows, key=lambda mn: lattice.element(*mn)))
+    coords = tuple(sorted(rows, key=lambda mn: lattice.point(*mn)))
     steps = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(coords, coords[1:])]
-    gap_coords = tuple(sorted(set(steps), key=lambda mn: lattice.element(*mn)))
+    gap_coords = tuple(sorted(set(steps), key=lambda mn: lattice.point(*mn)))
     index = {mn: i for i, mn in enumerate(gap_coords)}
     return ModelSetPatch(lattice, window, R, coords, gap_coords, tuple(index[s] for s in steps))
 
@@ -272,7 +276,6 @@ def assert_walk_matches_oracle(lattice, window, radius):
 def random_window(rng, field, generic=True):
     """A window with endpoints p + q*sqrt(d) for small rationals p and q,
     at most about 6 long."""
-    lattice = LatticeSpec(field)
     while True:
         lo = field.element(
             Fraction(rng.randint(-30, 30), rng.randint(1, 9)),
@@ -285,7 +288,7 @@ def random_window(rng, field, generic=True):
         if not width.sign() > 0:
             continue
         window = Window(lo, lo + width)
-        if check_generic(window, lattice).w4 == generic:
+        if (not check_generic(window, field)) == generic:
             return window
 
 
@@ -303,8 +306,10 @@ def test_walk_matches_row_enumeration_on_named_windows():
     for window in (fib_window(), sym, irr, three_gap, wide, nongeneric, huge):
         for radius in (Fraction(1, 2), 1, 3, 50, 1000):
             assert_walk_matches_oracle(LAT, window, radius)
-    assert len(gaps_to_letters(enumerate_patch(LAT, three_gap, 300)).gaps) == 3
-    assert len(gaps_to_letters(enumerate_patch(LAT, wide, 300)).gaps) == 3
+    for window in (three_gap, wide):
+        patch = enumerate_patch(LAT, window, 300)
+        assert len(gap_values(patch)) == 3
+        assert gaps_to_letters(patch).alphabet.symbols == ("a", "b", "c")
     # A point exactly on the window's boundary stays in the closed window.
     assert (0, 0) in enumerate_patch(LAT, nongeneric, 10).coords
 
@@ -329,7 +334,7 @@ def test_walk_decides_near_misses_exactly():
     # edge and the exact test behind it keep the point in or out.
     sqrt2 = QuadField(2)
     for field, unit in ((GOLDEN, star(TAU)), (sqrt2, sqrt2.element(1, -1))):
-        lattice = LatticeSpec(field)
+        lattice = field
         window = Window(field.element(Fraction(1, 3)), field.element(Fraction(4, 3)))
         coords = enumerate_patch(lattice, window, 100).coords
         delta = field.element(1)
@@ -338,7 +343,7 @@ def test_walk_decides_near_misses_exactly():
             if k % 5:
                 continue
             for mn in (coords[3], coords[-3]):
-                z = star(lattice.element(*mn))
+                z = star(lattice.point(*mn))
                 for edge in (z - abs(delta), z + abs(delta)):
                     assert_walk_matches_oracle(lattice, Window(edge, edge + 1), 100)
                     assert_walk_matches_oracle(lattice, Window(edge - 1, edge), 100)
@@ -352,7 +357,7 @@ def test_walk_decides_near_misses_exactly():
         if k % 3:
             continue
         n = int(delta.q)
-        z = star(LAT.element((-(TAU * n)).floor(), n))
+        z = star(LAT.point((-(TAU * n)).floor(), n))
         for edge in (z - delta, z + delta):
             assert_walk_matches_oracle(LAT, Window(edge, edge + 1), 20)
             assert_walk_matches_oracle(LAT, Window(edge - 1, edge), 20)
@@ -373,7 +378,7 @@ def test_walk_matches_row_enumeration_on_random_windows():
         field = QuadField(rng.choice((2, 3, 5, 7)), rng.choice(("sqrt", OMEGA_GOLDEN)))
         window = random_window(rng, field, generic=trial % 8 != 0)
         radius = Fraction(round(2 ** rng.uniform(-1, 10) * 8), 8)
-        assert_walk_matches_oracle(LatticeSpec(field), window, min(radius, 1000))
+        assert_walk_matches_oracle(field, window, min(radius, 1000))
 
 
 def test_walk_keeps_boundary_points_far_out():
@@ -383,10 +388,10 @@ def test_walk_keeps_boundary_points_far_out():
     rng = random.Random(7)
     for trial in range(24):
         field = QuadField((2, 3, 5, 7)[trial % 4], ("sqrt", OMEGA_GOLDEN)[trial // 4 % 2])
-        lattice = LatticeSpec(field)
+        lattice = field
         coords = enumerate_patch(lattice, random_window(rng, field), 1000).coords
         ends = [rng.choice(coords[:40]), rng.choice(coords[-40:])]
-        stars = sorted((star(lattice.element(*mn)), mn) for mn in ends)
+        stars = sorted((star(lattice.point(*mn)), mn) for mn in ends)
         if stars[0][0] == stars[1][0]:
             continue
         window = Window(stars[0][0], stars[1][0])
@@ -415,29 +420,30 @@ def test_tiny_radius_gives_empty_patch():
 def test_two_gaps_with_ratio_tau():
     patch = enumerate_patch(LAT, fib_window(), 300)
     seq = gaps_to_letters(patch)
-    assert len(seq.gaps) == 2
-    assert seq.gaps[1] / seq.gaps[0] == TAU
+    gaps = gap_values(patch)
+    assert len(gaps) == 2 and len(seq.alphabet) == 2
+    assert gaps[1] / gaps[0] == TAU
     again = gaps_to_letters(patch)
-    assert again.gaps == seq.gaps and again.letters == seq.letters
+    assert again == seq
 
 
 def test_shifted_window_has_same_gaps():
-    seq = gaps_to_letters(enumerate_patch(LAT, fib_window(), 200))
-    shifted = gaps_to_letters(enumerate_patch(LAT, fib_window().shift(Fraction(1, 7)), 200))
-    assert shifted.gaps == seq.gaps
+    gaps = gap_values(enumerate_patch(LAT, fib_window(), 200))
+    shifted = gap_values(enumerate_patch(LAT, fib_window().shift(Fraction(1, 7)), 200))
+    assert shifted == gaps
 
 
 def test_gap_legend_stable_under_doubling_radius():
-    seq = gaps_to_letters(enumerate_patch(LAT, fib_window(), 150))
-    double = gaps_to_letters(enumerate_patch(LAT, fib_window(), 300))
-    assert seq.gaps == double.gaps
+    gaps = gap_values(enumerate_patch(LAT, fib_window(), 150))
+    double = gap_values(enumerate_patch(LAT, fib_window(), 300))
+    assert gaps == double
 
 
 def test_single_gap_patch_gives_constant_word():
     coords = ((0, 0), (1, 0), (2, 0), (3, 0))
     patch = ModelSetPatch(LAT, fib_window(), Fraction(10), coords, ((1, 0),), (0, 0, 0))
     seq = gaps_to_letters(patch)
-    assert seq.gaps == (GOLDEN.element(1),)
+    assert gap_values(patch) == (GOLDEN.element(1),)
     assert seq.letters == (0, 0, 0)
     with pytest.raises(ValueError):
         gaps_to_letters(ModelSetPatch(LAT, fib_window(), Fraction(10), ((0, 0),), (), ()))
@@ -475,15 +481,15 @@ def test_repetitivity_proxy():
 
 def test_inversion_witness_symmetric_rational_window():
     window = Window(GOLDEN.element(Fraction(-1, 2)), GOLDEN.element(Fraction(1, 2)))
-    assert check_generic(window, LAT).w4
-    assert inversion_witness(window, LAT) == GOLDEN.element(0)
+    assert not check_generic(window, LAT)
+    assert inversion_witness(window, LAT) == (0, 0)
 
 
 def test_inversion_witness_symmetric_irrational_window():
     center = star(TAU)
     window = Window(center - Fraction(1, 2), center + Fraction(1, 2))
-    assert check_generic(window, LAT).w4
-    assert inversion_witness(window, LAT) == -(TAU * 2)
+    assert not check_generic(window, LAT)
+    assert inversion_witness(window, LAT) == (0, -2)  # t = -2*tau
 
 
 def test_inversion_witness_generic_fibonacci_window():
@@ -498,7 +504,7 @@ def test_inversion_witness_empty_patch():
     # all does not change it.
     window = Window(GOLDEN.element(Fraction(11, 4)), GOLDEN.element(Fraction(13, 4)))
     assert len(enumerate_patch(LAT, window, Fraction(1, 2))) == 0
-    assert inversion_witness(window, LAT) == GOLDEN.element(-6)
+    assert inversion_witness(window, LAT) == (-6, 0)
 
 
 def overlap_sets(patch, shift):
@@ -507,11 +513,11 @@ def overlap_sets(patch, shift):
     in increasing order, so each set is one run of it, found by bisection."""
     lattice, R = patch.lattice, patch.radius
     tm, tn = shift
-    t = lattice.element(tm, tn)
+    t = lattice.point(tm, tn)
     lo, hi = max(-R, -R + t), min(R, R + t)
 
     def position(mn):
-        return lattice.element(*mn)
+        return lattice.point(*mn)
 
     def run(a, b):
         coords = patch.coords
@@ -529,8 +535,9 @@ def test_inversion_witness_is_exact_on_random_windows():
     rng = random.Random(20261019)
     for trial in range(240):
         field = QuadField((2, 3, 5, 7)[trial // 2 % 4], ("sqrt", OMEGA_GOLDEN)[trial // 8 % 2])
-        lattice = LatticeSpec(field)
-        z = lattice.element(rng.randint(-6, 6), rng.randint(-6, 6))
+        lattice = field
+        zm, zn = rng.randint(-6, 6), rng.randint(-6, 6)
+        z = lattice.point(zm, zn)
         width = abs(field.element(
             Fraction(rng.randint(1, 60), rng.randint(10, 20)),
             Fraction(rng.randint(-1, 1), rng.randint(5, 9)),
@@ -543,8 +550,8 @@ def test_inversion_witness_is_exact_on_random_windows():
             assert inversion_witness(window.shift(off / 2), lattice) is None
             continue
         t = inversion_witness(window, lattice)
-        assert t == -z
-        negated, shifted = overlap_sets(enumerate_patch(lattice, window, 300), lattice.coords(t))
+        assert t == (-zm, -zn)
+        negated, shifted = overlap_sets(enumerate_patch(lattice, window, 300), t)
         assert negated and negated == shifted
 
 
@@ -632,11 +639,11 @@ def test_manacher_on_long_structured_words():
         "Thue-Morse": tuple(bin(i).count("1") % 2 for i in range(n)),
         "Rudin-Shapiro": rs_binary_prefix(n),
     }
-    sqrt2 = LatticeSpec(QuadField(2))
+    sqrt2 = QuadField(2)
     for name, lattice, window in (
         ("paper window", LAT, fib_window()),
         ("three-gap", LAT, Window(GOLDEN.element(Fraction(-3, 5)), GOLDEN.element(Fraction(7, 10)))),
-        ("sqrt(2)", sqrt2, Window(sqrt2.field.element(Fraction(1, 5)), sqrt2.field.element(Fraction(8, 5)))),
+        ("sqrt(2)", sqrt2, Window(sqrt2.element(Fraction(1, 5)), sqrt2.element(Fraction(8, 5)))),
     ):
         words[name] = gaps_to_letters(enumerate_patch(lattice, window, 20000)).letters
     for name, word in words.items():
