@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .words import (
     Alphabet,
     PalindromeVerdict,
-    Word,
     exclusion_verdict,
     inner,
     is_palindrome,
@@ -48,14 +47,12 @@ from .rudin_shapiro import (
 )
 from .modelset import (
     FieldElement,
-    GapSequence,
     ModelSetPatch,
     QuadField,
     Window,
     centro_symmetry_center,
     check_generic,
     enumerate_patch,
-    gaps_to_letters,
     genericity_shift,
     inversion_witness,
     palindrome_scan,

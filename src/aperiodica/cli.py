@@ -111,12 +111,12 @@ def _atlas_payload(alphabet, atlas):
 
 
 def cmd_atlas(args):
-    rule, seed = _load_rule(args.rule)
+    rule, _ = _load_rule(args.rule)
     by_induction = by_window = None
     if args.method in ("induction", "both"):
-        by_induction = substitution.atlas_by_induction(rule, args.n, seed)
+        by_induction = substitution.atlas_by_induction(rule, args.n)
     if args.method in ("window", "both"):
-        by_window = substitution.atlas_by_window(rule, args.n, seed)
+        by_window = substitution.atlas_by_window(rule, args.n)
     payload = _atlas_payload(rule.alphabet, by_induction or by_window)
     agree = True
     if args.method == "both":
@@ -135,10 +135,10 @@ def _verdict_payload(verdict):
 
 
 def cmd_exclude(args):
-    rule, seed = _load_rule(args.rule)
+    rule, _ = _load_rule(args.rule)
     if args.phi and rule.alphabet.symbols != ("a", "b", "c", "d"):
         raise ValueError("--phi needs the four-letter alphabet a, b, c, d")
-    chain = substitution.atlas_chain(rule, args.nmax, seed)
+    chain = substitution.atlas_chain(rule, args.nmax)
     if args.phi:
         chain = substitution.prefix_chain(rudin_shapiro.phi_atlas(chain[-1]))
     payload = {"nmax": args.nmax, "projection": "phi" if args.phi else None}
@@ -211,11 +211,13 @@ def _parse_field_value(field, raw):
 
 def _load_modelset_spec(path, r_override):
     data = _load_json(path)
-    field = modelset.QuadField(data["d"], data.get("omega", modelset.OMEGA_SQRT))
-    bounds = _json_object(data["window"], "window")
-    window = modelset.Window(
-        _parse_field_value(field, bounds["lo"]), _parse_field_value(field, bounds["hi"])
-    )
+    try:
+        d, bounds = data["d"], _json_object(data["window"], "window")
+        lo, hi = bounds["lo"], bounds["hi"]
+    except KeyError as exc:
+        raise ValueError(f"spec file missing key {exc}") from None
+    field = modelset.QuadField(d, data.get("omega", modelset.OMEGA_SQRT))
+    window = modelset.Window(_parse_field_value(field, lo), _parse_field_value(field, hi))
     radius = _fraction(r_override if r_override is not None else data.get("R", "100"))
     return field, window, radius
 
@@ -228,6 +230,10 @@ def _lattice_point(m, n, omega):
     except OverflowError:
         value = math.inf
     return {"m": m, "n": n, "value": _f15(value) if math.isfinite(value) else None}
+
+
+# The gap names: an interval window has at most three gaps (three-distance theorem).
+_GAP_NAMES = "abc"
 
 
 def cmd_modelset(args):
@@ -261,12 +267,11 @@ def cmd_modelset(args):
         payload["count"] = len(patch)
         payload["points"] = [_lattice_point(m, n, omega) for m, n in patch.coords]
         if len(patch) >= 2:
-            seq = modelset.gaps_to_letters(patch)
             payload["legend"] = [
                 {"letter": letter, **_lattice_point(m, n, omega)}
-                for letter, (m, n) in zip(seq.alphabet.symbols, patch.gap_coords)
+                for letter, (m, n) in zip(_GAP_NAMES, patch.gap_coords)
             ]
-            payload["sequence"] = seq.alphabet.text(seq.letters)
+            payload["sequence"] = "".join(map(_GAP_NAMES.__getitem__, patch.letters))
     elif args.action == "symmetry":
         witness = modelset.inversion_witness(window, field)
         payload["count"] = len(patch)
@@ -275,9 +280,10 @@ def cmd_modelset(args):
             None if witness is None else _lattice_point(*witness, omega)
         )
     else:
-        seq = modelset.gaps_to_letters(patch)
-        scan = modelset.palindrome_scan(seq.letters, top=args.top)
-        payload["sequence_length"] = len(seq.letters)
+        if len(patch) < 2:
+            raise ValueError("need at least two points to read off gaps")
+        scan = modelset.palindrome_scan(patch.letters, top=args.top)
+        payload["sequence_length"] = len(patch.letters)
         payload["max_palindrome_length"] = scan[0][1] if scan else 0
         payload["palindromes"] = [{"center2": c2, "length": length} for c2, length in scan]
     _emit(_json_text(payload), args.output)
@@ -320,9 +326,11 @@ def cmd_spectrum(args):
             raise ValueError("--values is required together with --rule")
         mapping = _parse_values(args.values, rule.alphabet)
         prefix = substitution.FixedPointStream(rule, seed).prefix(args.size)
-        op = spectral.build_finite(prefix, mapping, args.coupling, boundary=args.boundary)
+    elif args.values:
+        raise ValueError("--rule is required together with --values")
     else:
-        op = spectral.TridiagonalOperator((0.0,) * args.size)
+        prefix, mapping = (0,) * args.size, {0: 0.0}
+    op = spectral.build_finite(prefix, mapping, args.coupling, boundary=args.boundary)
     eigs = spectral.eigenvalues(op, tol=args.tol)
     lo, hi = eigs[0] - 0.5, eigs[-1] + 0.5
     # The half unit of headroom is lost to rounding beyond 2**53, and at

@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 
-from .words import Alphabet, Word
-
 OMEGA_SQRT = "sqrt"
 OMEGA_GOLDEN = "golden"
 
@@ -452,24 +450,6 @@ def enumerate_patch(lattice, window, radius):
     gap_coords = tuple(cands[i][1:3] for i in used)
     letters = tuple(map(rank.__getitem__, steps))
     return ModelSetPatch(lattice, window, R, tuple(coords), gap_coords, letters)
-
-
-@dataclass(frozen=True)
-class GapSequence:
-    """Letterized gap list of a patch: ascending distinct gaps get the
-    letters a, b, ... in order; letter i is the gap ``patch.gap_coords[i]``."""
-
-    alphabet: Alphabet
-    letters: Word
-
-
-def gaps_to_letters(patch):
-    """The patch's gap word, read off the walk's record of its steps
-    (``patch.gap_coords`` and ``patch.letters``).  By the three-distance
-    theorem an interval window has at most three gaps, named a, b, c."""
-    if len(patch) < 2:
-        raise ValueError("need at least two points to read off gaps")
-    return GapSequence(Alphabet("abc"[: len(patch.gap_coords)]), patch.letters)
 
 
 def inversion_witness(window, lattice):

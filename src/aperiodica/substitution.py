@@ -60,7 +60,7 @@ class SubstitutionRule:
 def rule_from_dict(data):
     """Parse the rule file payload {"alphabet": [...], "images": {...}, "seed": ...}.
 
-    Returns ``(rule, seed_index_or_None)``.
+    Returns ``(rule, seed_index_or_None)``; only ``spectrum`` reads the seed.
     """
     try:
         alphabet = Alphabet(data["alphabet"])
@@ -236,14 +236,14 @@ def prefix_chain(top):
     return chain
 
 
-def atlas_chain(rule, n_max, seed=None):
+def atlas_chain(rule, n_max):
     """Atlases for every length 1..n_max (index 0 holds length 1): the
     closure at n_max and its prefix sets (see :func:`prefix_chain`)."""
-    return prefix_chain(atlas_by_induction(rule, n_max, seed))
+    return prefix_chain(atlas_by_induction(rule, n_max))
 
 
-def atlas_by_induction(rule, n, seed=None):
-    """Length-n atlas: the closure of the fixed point's length-n prefix
+def atlas_by_induction(rule, n):
+    """Length-n atlas: the closure of a fixed point's length-n prefix
     under the induced map, after checking that the rule is primitive.
 
     Applied k times to a legal word w, the induced map yields every
@@ -254,7 +254,7 @@ def atlas_by_induction(rule, n, seed=None):
     if n < 1:
         raise ValueError("n must be >= 1")
     require_primitive(rule)
-    start = FixedPointStream(rule, seed).prefix(n)
+    start = FixedPointStream(rule).prefix(n)
     words = {start}
     todo = [start]
     while todo:
@@ -269,7 +269,7 @@ def _ngrams(word, n):
     return {word[i : i + n] for i in range(len(word) - n + 1)}
 
 
-def atlas_by_window(rule, n, seed=None):
+def atlas_by_window(rule, n):
     """Length-n atlas by collecting factors of a growing fixed-point prefix.
 
     The prefix doubles until its factor set is closed under the induced
@@ -281,7 +281,7 @@ def atlas_by_window(rule, n, seed=None):
     if n < 1:
         raise ValueError("n must be >= 1")
     require_primitive(rule)
-    stream = FixedPointStream(rule, seed)
+    stream = FixedPointStream(rule)
     length = max(64, 4 * n)
     while length <= DEFAULT_MAX_PREFIX:
         factors = _ngrams(stream.prefix(length), n)
@@ -293,6 +293,6 @@ def atlas_by_window(rule, n, seed=None):
     )
 
 
-def complexity(rule, n, seed=None):
+def complexity(rule, n):
     """Number of distinct length-n factors of the fixed point."""
-    return len(atlas_by_induction(rule, n, seed).words)
+    return len(atlas_by_induction(rule, n).words)

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-Word = tuple
-
 EXCLUDED = "excluded"
 UNDETERMINED = "undetermined"
 

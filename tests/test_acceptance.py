@@ -132,11 +132,10 @@ def _fibonacci_setup():
 def test_model_set_correctness():
     field, lattice, window = _fibonacci_setup()
     patch = ms.enumerate_patch(lattice, window, 1000)
-    seq = ms.gaps_to_letters(patch)
     gaps = [lattice.point(*mn) for mn in patch.gap_coords]
     two_gaps = len(gaps) == 2
     ratio_tau = two_gaps and gaps[1] / gaps[0] == field.omega()
-    relabeled = tuple(1 - a for a in seq.letters)
+    relabeled = tuple(1 - a for a in patch.letters)
     chain = atlas_chain(fibonacci_rule(), 12)
     factors_ok = all(
         {relabeled[i : i + n] for i in range(len(relabeled) - n + 1)} == chain[n - 1].words
@@ -176,7 +175,7 @@ def test_symmetry_and_palindromicity():
     verdicts_ok = [ms.inversion_witness(w, lattice) for w, _ in cases] == [t for _, t in cases]
     # Factors extend to the right, so closure under reversal at length 40
     # gives it at every shorter length.
-    words = [ms.gaps_to_letters(ms.enumerate_patch(lattice, w, 120000)).letters for w, _ in cases]
+    words = [ms.enumerate_patch(lattice, w, 120000).letters for w, _ in cases]
     factor_sets = [{word[i : i + 40] for i in range(len(word) - 39)} for word in words]
     reversal_closed = all({f[::-1] for f in factors} == factors for factors in factor_sets)
     big = words[-1]

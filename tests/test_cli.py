@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -311,6 +312,14 @@ def test_modelset_palindromes(files, capsys):
     assert data["palindromes"][0]["length"] == data["max_palindrome_length"]
 
 
+@pytest.mark.parametrize("radius", ["1/2", "1"])
+def test_modelset_palindromes_need_two_points(files, capsys, radius):
+    # The paper's window holds no point within R = 1/2 and one within R = 1.
+    spec = files("fib.json", {**FIB_SPEC, "R": radius})
+    assert cli.main(["modelset", "--spec", spec, "--action", "palindromes"]) == 2
+    assert capsys.readouterr().err == "error: need at least two points to read off gaps\n"
+
+
 def test_modelset_window_object_endpoints(files, capsys):
     # tau' - 1/2 = 0 + (-1/2)*sqrt(5), tau' + 1/2 = 1 + (-1/2)*sqrt(5)
     spec = files(
@@ -396,6 +405,14 @@ def test_spectrum_free_case(capsys):
     assert eigs[2] == pytest.approx(2**0.5, abs=1e-9)
 
 
+def test_spectrum_free_case_honours_the_boundary(capsys):
+    # The free operator once kept Dirichlet ends whatever --boundary said.
+    code, data = run_json(capsys, ["spectrum", "--size", "3", "--boundary", "neumann"])
+    assert code == 0
+    assert data["boundary"] == "neumann"
+    assert data["eigenvalues"] == pytest.approx([-1.0, 1.0, 2.0], abs=1e-9)
+
+
 def test_spectrum_fibonacci(files, capsys):
     rule = files("fib.json", FIB_RULE)
     code, data = run_json(
@@ -420,6 +437,26 @@ def test_spectrum_rejects_repeated_values(files, capsys):
     code = cli.main(["spectrum", "--rule", rule, "--values", "a=0,a=1,b=2", "--size", "5"])
     assert code == 2
     assert capsys.readouterr().err == "error: --values assigns 'a' twice\n"
+
+
+@pytest.mark.parametrize(
+    "with_rule, values, message",
+    [
+        (True, "a=0,b", "bad --values entry 'b': use letter=value"),
+        (True, "a=0", "--values assigns nothing to ['b']"),
+        (True, None, "--values is required together with --rule"),
+        # Once dropped without a word: the free operator ran and exited 0.
+        (False, "a=0,b=1", "--rule is required together with --values"),
+    ],
+)
+def test_spectrum_rejects_incomplete_potentials(files, capsys, with_rule, values, message):
+    argv = ["spectrum", "--size", "5"]
+    if with_rule:
+        argv += ["--rule", files("fib.json", FIB_RULE)]
+    if values is not None:
+        argv += ["--values", values]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_spectrum_tolerance_below_float_spacing():
@@ -635,13 +672,37 @@ RULE_ARGV = ["exclude", "--nmax", "5", "--rule"]
         (SPEC_ARGV, '{"d": 5, "window": {"lo": "1/3", "hi": "4/3"}, "R": 0.1}'),
         (SPEC_ARGV, '{"d": 5, "window": {"lo": {"p": 0.5}, "hi": "4/3"}}'),
         (SPEC_ARGV, '{"d": 5, "window": {"lo": 0.5, "hi": "4/3"}}'),
+        # A missing key once printed as the bare "error: 'd'".
+        (SPEC_ARGV, '{"window": {"lo": "1/3", "hi": "4/3"}}'),
+        (SPEC_ARGV, '{"d": 5, "R": "10"}'),
+        (SPEC_ARGV, '{"d": 5, "window": {"hi": "4/3"}}'),
+        (SPEC_ARGV, '{"d": 5, "window": {"lo": "1/3"}}'),
+        (RULE_ARGV, '{"alphabet": ["a", "b"]}'),
     ],
 )
 def test_malformed_input_file_exits_2(tmp_path, capsys, argv, text):
     path = tmp_path / "input.json"
     path.write_text(text)
     assert cli.main(argv + [str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert not re.fullmatch(r"error: '\w+'\n", err), "a bare key names no fault"
+
+
+def test_atlas_and_exclude_do_not_read_the_seed(files, capsys):
+    # Every sequence in the hull has the factors of the rule.  Seed b gives
+    # no fixed point (b -> a), so atlas and exclude once exited 2 on it;
+    # spectrum, which reads the seed's fixed point, still does.
+    rules = {seed: files(f"fib_{seed}.json", {**FIB_RULE, "seed": seed}) for seed in "ab"}
+    outputs = []
+    for rule in rules.values():
+        for argv in (["atlas", "-N", "6", "--method", "both"], ["exclude", "--nmax", "8"]):
+            assert cli.main([*argv, "--rule", rule]) == 0
+            outputs.append(capsys.readouterr().out)
+    assert outputs[:2] == outputs[2:]
+    argv = ["spectrum", "--rule", rules["b"], "--values", "a=0,b=1", "--size", "5"]
+    assert cli.main(argv) == 2
+    assert "no seed/power pair" in capsys.readouterr().err
 
 
 def test_rule_images_must_be_an_object(files, capsys):

@@ -15,7 +15,6 @@ from aperiodica.modelset import (
     centro_symmetry_center,
     check_generic,
     enumerate_patch,
-    gaps_to_letters,
     genericity_shift,
     inversion_witness,
     palindrome_scan,
@@ -62,6 +61,9 @@ def test_quadfield_validation():
         QuadField(5, "half")
     for d in (5.9, 5.0, True, "5"):
         with pytest.raises(ValueError):
+            QuadField(d)
+    for d in (9, 18, 75):  # odd square factors 9, 9 and 25
+        with pytest.raises(ValueError, match="squarefree"):
             QuadField(d)
     with pytest.raises(ValueError, match=f"MAX_D = {2**32}"):
         QuadField(modelset.MAX_D + 1)
@@ -269,7 +271,9 @@ def assert_walk_matches_oracle(lattice, window, radius):
     assert walked.gap_coords == oracle.gap_coords
     assert walked.letters == oracle.letters
     if len(oracle) >= 2:
-        assert gaps_to_letters(walked) == gaps_to_letters(oracle)
+        # One letter per step, and the letters name every gap: 0, 1, ...
+        assert len(walked.letters) == len(walked) - 1
+        assert sorted(set(walked.letters)) == list(range(len(walked.gap_coords)))
     return walked
 
 
@@ -309,7 +313,7 @@ def test_walk_matches_row_enumeration_on_named_windows():
     for window in (three_gap, wide):
         patch = enumerate_patch(LAT, window, 300)
         assert len(gap_values(patch)) == 3
-        assert gaps_to_letters(patch).alphabet.symbols == ("a", "b", "c")
+        assert set(patch.letters) == {0, 1, 2}
     # A point exactly on the window's boundary stays in the closed window.
     assert (0, 0) in enumerate_patch(LAT, nongeneric, 10).coords
 
@@ -419,12 +423,11 @@ def test_tiny_radius_gives_empty_patch():
 
 def test_two_gaps_with_ratio_tau():
     patch = enumerate_patch(LAT, fib_window(), 300)
-    seq = gaps_to_letters(patch)
     gaps = gap_values(patch)
-    assert len(gaps) == 2 and len(seq.alphabet) == 2
+    assert len(gaps) == 2 and set(patch.letters) == {0, 1}
     assert gaps[1] / gaps[0] == TAU
-    again = gaps_to_letters(patch)
-    assert again == seq
+    again = enumerate_patch(LAT, fib_window(), 300)
+    assert (again.gap_coords, again.letters) == (patch.gap_coords, patch.letters)
 
 
 def test_shifted_window_has_same_gaps():
@@ -442,17 +445,16 @@ def test_gap_legend_stable_under_doubling_radius():
 def test_single_gap_patch_gives_constant_word():
     coords = ((0, 0), (1, 0), (2, 0), (3, 0))
     patch = ModelSetPatch(LAT, fib_window(), Fraction(10), coords, ((1, 0),), (0, 0, 0))
-    seq = gaps_to_letters(patch)
     assert gap_values(patch) == (GOLDEN.element(1),)
-    assert seq.letters == (0, 0, 0)
-    with pytest.raises(ValueError):
-        gaps_to_letters(ModelSetPatch(LAT, fib_window(), Fraction(10), ((0, 0),), (), ()))
+    assert patch.letters == (0, 0, 0)
+    # A patch of one point has no gap and an empty gap word.
+    single = enumerate_patch(LAT, fib_window(), 1)
+    assert (single.coords, single.gap_coords, single.letters) == (((1, 0),), (), ())
 
 
 def test_derived_sequence_factors_match_fibonacci_atlas():
     patch = enumerate_patch(LAT, fib_window(), 1000)
-    seq = gaps_to_letters(patch)
-    word = seq.letters
+    word = patch.letters
     swapped = tuple(1 - a for a in word)
     chain = atlas_chain(fibonacci_rule(), 12)
     for n in range(1, 13):
@@ -465,8 +467,7 @@ def test_derived_sequence_factors_match_fibonacci_atlas():
 
 
 def test_repetitivity_proxy():
-    seq = gaps_to_letters(enumerate_patch(LAT, fib_window(), 800))
-    word = seq.letters
+    word = enumerate_patch(LAT, fib_window(), 800).letters
     worst = 0
     for n in range(1, 11):
         positions = {}
@@ -645,7 +646,7 @@ def test_manacher_on_long_structured_words():
         ("three-gap", LAT, Window(GOLDEN.element(Fraction(-3, 5)), GOLDEN.element(Fraction(7, 10)))),
         ("sqrt(2)", sqrt2, Window(sqrt2.element(Fraction(1, 5)), sqrt2.element(Fraction(8, 5)))),
     ):
-        words[name] = gaps_to_letters(enumerate_patch(lattice, window, 20000)).letters
+        words[name] = enumerate_patch(lattice, window, 20000).letters
     for name, word in words.items():
         assert len(word) >= 15000, name
         assert (_manacher(word, 0), _manacher(word, 1)) == manacher_oracle(word), name
@@ -660,8 +661,8 @@ def test_rs_binary_palindromes_cap_at_fourteen():
 
 def test_model_set_palindromes_grow():
     patch = enumerate_patch(LAT, fib_window(), 12000)
-    seq = gaps_to_letters(patch)
-    assert len(seq.letters) >= 10000
-    best = palindrome_scan(seq.letters)[0][1]
-    assert best >= len(seq.letters) / 50
+    word = patch.letters
+    assert len(word) >= 10000
+    best = palindrome_scan(word)[0][1]
+    assert best >= len(word) / 50
 

@@ -16,6 +16,6 @@ def test_library_sketch_runs_as_documented():
     assert complexity(namespace["fib"], 10) == 11
     assert not check_generic(window, field)
     gaps = [field.point(*mn) for mn in patch.gap_coords]
-    assert len(gaps) == 2 and len(namespace["seq"].alphabet) == 2
+    assert len(gaps) == 2 and set(namespace["gap_word"]) == {0, 1}
     assert gaps[1] / gaps[0] == field.omega()
     assert inversion_witness(window, field) is None

@@ -12,6 +12,7 @@ from aperiodica.rudin_shapiro import quaternary_prefix
 from aperiodica.spectral import (
     BOUNDARY_DIRICHLET,
     BOUNDARY_NEUMANN,
+    TransferMatrixProduct,
     TridiagonalOperator,
     build_finite,
     eigenvalues,
@@ -252,6 +253,9 @@ def test_transfer_product_examples():
     t = transfer_product(2.5, (), {0: 0.0}, 1.0)
     assert t.matrix == ((1.0, 0.0), (0.0, 1.0))
     assert t.scale_pow2 == 0 and t.count == 0
+    assert t.growth_rate() == 0.0
+    # det * 2**1200 has no float: the error reads as infinite.
+    assert TransferMatrixProduct(0.0, 0, 1, t.matrix, 600).determinant_error() == math.inf
     t = transfer_product(0.0, (0,), {0: 0.0}, 1.0)
     assert t.matrix == ((0.0, -1.0), (1.0, 0.0))
     assert t.determinant_error() == 0.0

@@ -234,6 +234,26 @@ def test_atlas_matches_brute_force_factors():
             assert atlas.words == set(windows)
 
 
+def test_every_fixed_point_has_the_atlas_of_its_rule():
+    # Every sequence in the hull of a primitive rule has the same factors,
+    # so the prefix of each admissible seed's fixed point holds the atlas.
+    multi_seed = 0
+    for rule in random_primitive_rules(40, 7):
+        seeds = []
+        for s in range(len(rule.alphabet)):
+            try:
+                seeds.append(resolve_seed_and_power(rule, s)[0])
+            except ValueError:
+                pass
+        multi_seed += len(seeds) > 1
+        atlases = [atlas_by_induction(rule, n).words for n in range(1, 9)]
+        for s in seeds:
+            word = FixedPointStream(rule, s).prefix(20000)
+            for n, atlas in enumerate(atlases, 1):
+                assert set(zip(*(word[j:] for j in range(n)))) == atlas, (rule, s, n)
+    assert multi_seed >= 10
+
+
 def test_method_equivalence_small():
     for rule in (fibonacci_rule(), thue_morse_rule(), quaternary_rule()):
         for n in range(1, 13):
