@@ -24,23 +24,21 @@ from .substitution import (
     apply,
     atlas_by_induction,
     atlas_by_window,
-    atlas_chain,
+    cover_words,
     complexity,
     fibonacci_rule,
     induced_substitute,
     is_primitive,
     matrix,
-    prefix_chain,
     rule_from_dict,
     thue_morse_rule,
 )
 from .rudin_shapiro import (
     Table1Row,
-    binary_atlas,
     block_count_a,
     equivalence_check,
+    exclusion_verdicts,
     phi,
-    phi_atlas,
     quaternary_rule,
     rs_binary_prefix,
     table1,

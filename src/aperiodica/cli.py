@@ -138,11 +138,11 @@ def cmd_exclude(args):
     rule, _ = _load_rule(args.rule)
     if args.phi and rule.alphabet.symbols != ("a", "b", "c", "d"):
         raise ValueError("--phi needs the four-letter alphabet a, b, c, d")
-    chain = substitution.atlas_chain(rule, args.nmax)
+    covers = substitution.cover_words(rule, args.nmax)
     if args.phi:
-        chain = substitution.prefix_chain(rudin_shapiro.phi_atlas(chain[-1]))
+        covers = [rudin_shapiro.phi(w) for w in covers]
     payload = {"nmax": args.nmax, "projection": "phi" if args.phi else None}
-    payload.update(_verdict_payload(words.exclusion_verdict(chain)))
+    payload.update(_verdict_payload(words.exclusion_verdict(covers, args.nmax)))
     _emit(_json_text(payload), args.output)
     return 0
 
@@ -155,37 +155,23 @@ def _table_tsv(rows):
 
 
 def cmd_rs_table(args):
-    rows = rudin_shapiro.table1(args.nmax)
+    verdict4, verdict2 = verdicts = rudin_shapiro.exclusion_verdicts(args.nmax)
+    rows = rudin_shapiro.table1(args.nmax, verdicts)
     if args.format == "tsv":
         text = _table_tsv(rows)
     else:
-        verdict4, verdict2 = rows.verdicts
-        text = _json_text(
-            {
-                "rows": [
-                    {"n": r.n, "count4": r.count4, "pal4": r.pal4, "count2": r.count2, "pal2": r.pal2}
-                    for r in rows
-                ],
-                "exclusion_verdicts": {
-                    "quaternary": _verdict_payload(verdict4),
-                    "binary": _verdict_payload(verdict2),
-                },
-            }
-        )
+        payload = {"quaternary": _verdict_payload(verdict4), "binary": _verdict_payload(verdict2)}
+        text = _json_text({"rows": [vars(r) for r in rows], "exclusion_verdicts": payload})
     _emit(text, args.output)
     if args.golden:
-        golden = rudin_shapiro.golden_table1()
-        depth = min(len(rows), len(golden))
-        bad = []
-        for computed, expected in zip(rows[:depth], golden[:depth]):
-            for cell in ("n", "count4", "pal4", "count2", "pal2"):
-                got, want = getattr(computed, cell), getattr(expected, cell)
-                if got != want:
-                    bad.append(f"row {expected.n} {cell}: got {got!r}, expected {want!r}")
+        bad = [
+            f"row {expected.n} {cell}: got {got!r}, expected {want!r}"
+            for computed, expected in zip(rows, rudin_shapiro.golden_table1())
+            for (cell, got), want in zip(vars(computed).items(), vars(expected).values())
+            if got != want
+        ]
         if bad:
-            print("golden mismatch:", file=sys.stderr)
-            for line in bad:
-                print("  " + line, file=sys.stderr)
+            print("golden mismatch:", *bad, sep="\n  ", file=sys.stderr)
             return 1
     return 0
 

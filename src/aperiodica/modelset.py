@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
+
+from .words import _manacher
 
 OMEGA_SQRT = "sqrt"
 OMEGA_GOLDEN = "golden"
@@ -464,66 +465,6 @@ def inversion_witness(window, lattice):
     """
     mn = lattice.star_coords(centro_symmetry_center(window))
     return None if mn is None else (-mn[0], -mn[1])
-
-
-def _manacher(word, even):
-    """Manacher's radii of the maximal palindromes at every position:
-    odd ones for ``even`` 0, where d[i] counts letters from the center i
-    (inclusive), and even ones for ``even`` 1, where d[i] is the
-    half-length of the palindrome centred between i-1 and i.
-
-    A centre i is expanded letter by letter up to its palindrome's end.
-    Inside it, position j has the radius r of its mirror 2i - j whenever
-    the mirrored palindrome ends strictly inside (r < end - j), the lemma
-    behind the textbook scan; such radii are copied, the first eight one
-    at a time and the rest as reversed slices in doubling chunks.  The
-    first j whose mirror reaches the left end starts from end - j and is
-    the next centre, since its palindrome ends no sooner than i's.
-    """
-    n = len(word)
-    d = [0] * n
-    base = 1 - even
-    nxt, k = 0, base
-    for i in range(n):
-        if i < nxt:
-            continue
-        lo = i - even
-        while k <= lo and i + k < n and word[lo - k] == word[i + k]:
-            k += 1
-        d[i] = k
-        if k <= 1:
-            k = base
-            continue
-        r = d[i - 1]
-        if r >= k - 1:
-            k -= 1
-            continue
-        d[i + 1] = r
-        end = i + k
-        twice = i + i
-        for j in range(i + 2, min(end, i + 9)):
-            r = d[twice - j]
-            if r >= end - j:
-                break
-            d[j] = r
-        else:
-            j, step = i + 9, 16
-            while j < end:
-                stop = min(end, j + step)
-                mirror = d[twice - stop + 1 : twice - j + 1]
-                mirror.reverse()
-                reach = map(operator.ge, mirror, range(end - j, end - stop, -1))
-                hit = next(itertools.compress(itertools.count(j), reach), stop)
-                d[j:hit] = mirror[: hit - j]
-                if hit < stop:
-                    j = hit
-                    break
-                j, step = stop, step + step
-            else:
-                nxt, k = end, base
-                continue
-        nxt, k = j, end - j
-    return d
 
 
 def palindrome_scan(word, top=None):

@@ -8,11 +8,13 @@ which the test suite checks far beyond the displayed prefix.
 
 from __future__ import annotations
 
+import itertools
+import os
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 
-from .substitution import Atlas, FixedPointStream, SubstitutionRule, atlas_by_induction
-from .substitution import atlas_chain, prefix_chain
+from .substitution import FixedPointStream, SubstitutionRule, cover_words
 from .words import Alphabet, exclusion_verdict
 
 BINARY_ALPHABET = Alphabet(("0", "1"))
@@ -65,17 +67,6 @@ def equivalence_check(length):
     return phi(quaternary_prefix(length)) == rs_binary_prefix(length)
 
 
-def phi_atlas(atlas):
-    """The letterwise phi image of a quaternary atlas."""
-    return Atlas(atlas.length, frozenset(phi(w) for w in atlas.words))
-
-
-def binary_atlas(n):
-    """Length-n factors of the binary sequence, as the phi image of the
-    quaternary atlas."""
-    return phi_atlas(atlas_by_induction(_RULE, n))
-
-
 @dataclass(frozen=True)
 class Table1Row:
     """Complexities and palindrome statuses of both versions at one length.
@@ -91,15 +82,6 @@ class Table1Row:
     pal2: str
 
 
-class Table1(list):
-    """The rows of Table 1, plus the exclusion verdicts (quaternary,
-    binary) that their status columns are read from."""
-
-    def __init__(self, rows, verdicts):
-        super().__init__(rows)
-        self.verdicts = verdicts
-
-
 def _status(verdict, n):
     """yes/no for length n, blank past the row after the excluding pair."""
     pair = verdict.first_excluding_pair
@@ -108,17 +90,36 @@ def _status(verdict, n):
     return YES if n in verdict.lengths_with_palindromes else NO
 
 
-def table1(n_max=20):
-    """Factor counts and palindrome statuses for lengths 1..n_max."""
-    quaternary = atlas_chain(_RULE, n_max)
-    # phi maps letter to letter, so phi(w)[:n] = phi(w[:n]).
-    binary = prefix_chain(phi_atlas(quaternary[-1]))
-    v4, v2 = exclusion_verdict(quaternary), exclusion_verdict(binary)
-    rows = [
-        Table1Row(a4.length, len(a4), _status(v4, a4.length), len(a2), _status(v2, a2.length))
-        for a4, a2 in zip(quaternary, binary)
+def _covers(n_max, window=1):
+    """Quaternary cover words and their binary images: phi maps letter to letter."""
+    quaternary = cover_words(_RULE, n_max, window)
+    return quaternary, [phi(w) for w in quaternary]
+
+
+def exclusion_verdicts(n_max):
+    """Exclusion verdicts (quaternary, binary) for lengths 1..n_max."""
+    return tuple(exclusion_verdict(covers, n_max) for covers in _covers(n_max))
+
+
+def _counts(covers, n_max):
+    """C(1..n_max) from the sorted distinct length-n_max factors: each
+    length-n factor is the prefix of one, so C(n) is one more than the
+    adjacent pairs that share fewer than n letters."""
+    top = sorted({b[i : i + n_max] for b in map(bytes, covers) for i in range(len(b) - n_max + 1)})
+    shared = Counter(len(os.path.commonprefix(pair)) for pair in zip(top, top[1:]))
+    return [1 + c for c in itertools.accumulate(map(shared.__getitem__, range(n_max)))]
+
+
+def table1(n_max=20, verdicts=None):
+    """Factor counts and palindrome statuses for lengths 1..n_max; the
+    statuses read ``verdicts``, by default :func:`exclusion_verdicts`."""
+    covers = _covers(n_max, window=n_max)
+    v4, v2 = verdicts or (exclusion_verdict(c, n_max) for c in covers)
+    count4, count2 = (_counts(c, n_max) for c in covers)
+    return [
+        Table1Row(n, count4[n - 1], _status(v4, n), count2[n - 1], _status(v2, n))
+        for n in range(1, n_max + 1)
     ]
-    return Table1(rows, (v4, v2))
 
 
 def golden_table1():

@@ -3,9 +3,8 @@
 The two atlas constructions, one closing a single legal word under the
 substitution induced on length-N windows and one collecting the factors
 of a growing fixed-point prefix, are two routes to the same set and are
-cross-checked in the test suite.  The chain for lengths 1..n_max is one
-closure at n_max plus prefix sets: every factor of the one-sided fixed
-point extends to the right, so it is the prefix of a longer factor.
+cross-checked in the test suite.  Exclusion and the Rudin-Shapiro table
+read all lengths up to N off a few cover words with the same factors.
 """
 
 from __future__ import annotations
@@ -15,6 +14,9 @@ from dataclasses import dataclass
 from .words import Alphabet
 
 DEFAULT_MAX_PREFIX = 1 << 20
+# Letters of cover words (or their factors) held at once: at a few tens of
+# bytes a letter, words and Manacher's radii stay within 400 MB.
+MAX_COVER_LETTERS = 4_000_000
 
 
 class PrefixLimitError(RuntimeError):
@@ -225,23 +227,6 @@ class Atlas:
         return sorted(self.words)
 
 
-def prefix_chain(top):
-    """Atlases for lengths 1..top.length (index 0 holds length 1), each the
-    prefix set of the one above; exact when every factor extends to the
-    right, as on a one-sided fixed point and its letterwise images."""
-    chain = [top]
-    for n in range(top.length - 1, 0, -1):
-        chain.append(Atlas(n, frozenset(w[:-1] for w in chain[-1].words)))
-    chain.reverse()
-    return chain
-
-
-def atlas_chain(rule, n_max):
-    """Atlases for every length 1..n_max (index 0 holds length 1): the
-    closure at n_max and its prefix sets (see :func:`prefix_chain`)."""
-    return prefix_chain(atlas_by_induction(rule, n_max))
-
-
 def atlas_by_induction(rule, n):
     """Length-n atlas: the closure of a fixed point's length-n prefix
     under the induced map, after checking that the rule is primitive.
@@ -296,3 +281,33 @@ def atlas_by_window(rule, n):
 def complexity(rule, n):
     """Number of distinct length-n factors of the fixed point."""
     return len(atlas_by_induction(rule, n).words)
+
+
+def cover_words(rule, n, window=1):
+    """Words whose factors of length <= n are exactly the fixed point's:
+    each sigma^j(x), with j least such that all have at least n - 1
+    letters, and for each legal two-letter word uv the last n - 1 letters
+    of sigma^j(u) followed by the first n - 1 of sigma^j(v).  A window of
+    length <= n cannot hold a whole block sigma^j(x) and a letter on each
+    side, so it lies in one block or across one junction.
+
+    ValueError, decided from the image lengths before any word is built,
+    when the words' length-``window`` factors, with repetition, would hold
+    more than ``MAX_COVER_LETTERS`` letters.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    pairs = atlas_by_induction(rule, 2).sorted_words()
+    j, lengths = 0, [1] * len(rule.images)
+    while min(lengths) < n - 1:
+        j, lengths = j + 1, [sum(lengths[b] for b in img) for img in rule.images]
+    held = window * sum(max(0, m - window + 1) for m in lengths + [2 * n - 2] * len(pairs))
+    if held > MAX_COVER_LETTERS:
+        raise ValueError(
+            f"length {n} would hold {held} letters of cover words, "
+            f"past the cap MAX_COVER_LETTERS = {MAX_COVER_LETTERS}"
+        )
+    blocks = [(x,) for x in range(len(rule.images))]
+    for _ in range(j):
+        blocks = [apply(rule, w) for w in blocks]
+    return blocks + [blocks[u][len(blocks[u]) - n + 1 :] + blocks[v][: n - 1] for u, v in pairs]

@@ -7,6 +7,8 @@ hashable, cheap to slice and independent of how symbols are spelled.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 
 EXCLUDED = "excluded"
@@ -92,28 +94,84 @@ class PalindromeVerdict:
     status: str
 
 
-def exclusion_verdict(chain):
-    """Derive the palindromicity verdict from the atlas chain for lengths 1..N_max.
+def _manacher(word, even):
+    """Manacher's radii of the maximal palindromes at every position:
+    odd ones for ``even`` 0, where d[i] counts letters from the center i
+    (inclusive), and even ones for ``even`` 1, where d[i] is the
+    half-length of the palindrome centred between i-1 and i.
 
-    ``chain[i]`` is the atlas (``length`` and ``words``) of length i + 1.
-    The scan stops at the first pair of lengths without palindromic
-    factors: by the chop argument no longer length carries one, so the
-    atlases past the pair are not read.
+    A centre i is expanded letter by letter up to its palindrome's end.
+    Inside it, position j has the radius r of its mirror 2i - j whenever
+    the mirrored palindrome ends strictly inside (r < end - j), the lemma
+    behind the textbook scan; such radii are copied, the first eight one
+    at a time and the rest as reversed slices in doubling chunks.  The
+    first j whose mirror reaches the left end starts from end - j and is
+    the next centre, since its palindrome ends no sooner than i's.
     """
-    if not chain:
-        raise ValueError("atlases must cover consecutive lengths 1..N_max")
-    with_pal = set()
-    first_pair = None
-    for n, atlas in enumerate(chain, 1):
-        if atlas.length != n:
-            raise ValueError("atlases must cover consecutive lengths 1..N_max")
-        words = atlas.words
-        if any(len(w) != n for w in words):
-            raise ValueError(f"atlas for length {n} contains words of other lengths")
-        if any(is_palindrome(w) for w in words):
-            with_pal.add(n)
-        elif n > 1 and n - 1 not in with_pal:
-            first_pair = n - 1
-            break
-    status = EXCLUDED if first_pair is not None else UNDETERMINED
-    return PalindromeVerdict(frozenset(with_pal), first_pair, status)
+    n = len(word)
+    d = [0] * n
+    base = 1 - even
+    nxt, k = 0, base
+    for i in range(n):
+        if i < nxt:
+            continue
+        lo = i - even
+        while k <= lo and i + k < n and word[lo - k] == word[i + k]:
+            k += 1
+        d[i] = k
+        if k <= 1:
+            k = base
+            continue
+        r = d[i - 1]
+        if r >= k - 1:
+            k -= 1
+            continue
+        d[i + 1] = r
+        end = i + k
+        twice = i + i
+        for j in range(i + 2, min(end, i + 9)):
+            r = d[twice - j]
+            if r >= end - j:
+                break
+            d[j] = r
+        else:
+            j, step = i + 9, 16
+            while j < end:
+                stop = min(end, j + step)
+                mirror = d[twice - stop + 1 : twice - j + 1]
+                mirror.reverse()
+                reach = map(operator.ge, mirror, range(end - j, end - stop, -1))
+                hit = next(itertools.compress(itertools.count(j), reach), stop)
+                d[j:hit] = mirror[: hit - j]
+                if hit < stop:
+                    j = hit
+                    break
+                j, step = stop, step + step
+            else:
+                nxt, k = end, base
+                continue
+        nxt, k = j, end - j
+    return d
+
+
+def exclusion_verdict(covers, n_max):
+    """The verdict for lengths 1..n_max from a list of words whose factors
+    of length <= n_max are the language's, such as :func:`cover_words`.
+
+    A palindrome chopped by one letter at each end stays a palindrome, so
+    within each parity the lengths that carry one run up to the longest;
+    one Manacher pass per word and parity finds the longest odd and even
+    ones.  The longer, P, is followed by the first pair without, P + 1.
+    """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    odd = max((2 * max(_manacher(w, 0)) - 1 for w in covers if w), default=0)
+    even = max((2 * max(_manacher(w, 1)) for w in covers if w), default=0)
+    # A maximal palindrome past n_max holds one of each shorter length of
+    # its parity, and those of length <= n_max are factors of the language.
+    odd, even = min(odd, n_max - 1 + n_max % 2), min(even, n_max - n_max % 2)
+    with_pal = frozenset(range(1, odd + 1, 2)) | frozenset(range(2, even + 1, 2))
+    pair = max(odd, even) + 1
+    if pair < n_max:
+        return PalindromeVerdict(with_pal, pair, EXCLUDED)
+    return PalindromeVerdict(with_pal, None, UNDETERMINED)

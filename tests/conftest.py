@@ -4,13 +4,15 @@ maxima from an all-substrings scan.  Also collects the acceptance
 criterion verdicts and prints them in the terminal summary."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import aperiodica
-from aperiodica.substitution import apply, resolve_seed_and_power
-from aperiodica.words import is_palindrome
+from aperiodica.substitution import SubstitutionRule, apply, is_primitive, matrix
+from aperiodica.substitution import resolve_seed_and_power
+from aperiodica.words import Alphabet, is_palindrome
 
 SRC = Path(aperiodica.__file__).resolve().parents[1]
 
@@ -69,3 +71,23 @@ def run_python(*args, timeout=60, env=None):
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, timeout=timeout, env=env
     )
+
+
+def acceptance_rules(count=200, seed=20260808):
+    """Seeded primitive rules on 2-4 letters with images of length 1-3,
+    the corpus of the exclusion-soundness criterion."""
+    rng = random.Random(seed)
+    rules = []
+    while len(rules) < count:
+        r = rng.choice((2, 3, 4))
+        images = tuple(
+            tuple(rng.randrange(r) for _ in range(rng.choice((1, 2, 2, 3)))) for _ in range(r)
+        )
+        try:
+            rule = SubstitutionRule(Alphabet("abcd"[:r]), images)
+        except ValueError:
+            continue
+        if is_primitive(matrix(rule)) is None:
+            continue
+        rules.append(rule)
+    return rules

@@ -8,7 +8,8 @@ import math
 import random
 from fractions import Fraction
 
-from conftest import record_acceptance
+from chain_oracle import atlas_chain
+from conftest import acceptance_rules, record_acceptance
 
 from aperiodica import cli
 from aperiodica import modelset as ms
@@ -16,15 +17,12 @@ from aperiodica import rudin_shapiro as rs
 from aperiodica import spectral as sp
 from aperiodica.substitution import (
     FixedPointStream,
-    SubstitutionRule,
     atlas_by_window,
-    atlas_chain,
+    cover_words,
     fibonacci_rule,
-    is_primitive,
-    matrix,
     thue_morse_rule,
 )
-from aperiodica.words import Alphabet, exclusion_verdict
+from aperiodica.words import exclusion_verdict
 
 
 def criterion(name, ok, detail=""):
@@ -89,25 +87,11 @@ def test_atlas_method_equivalence():
 
 
 def test_exclusion_soundness():
-    rng = random.Random(20260808)
-    rules = []
-    while len(rules) < 200:
-        r = rng.choice((2, 3, 4))
-        images = tuple(
-            tuple(rng.randrange(r) for _ in range(rng.choice((1, 2, 2, 3)))) for _ in range(r)
-        )
-        try:
-            rule = SubstitutionRule(Alphabet("abcd"[:r]), images)
-        except ValueError:
-            continue
-        if is_primitive(matrix(rule)) is None:
-            continue
-        rules.append(rule)
+    rules = acceptance_rules()
     fired = 0
     sound = True
     for rule in rules:
-        chain = atlas_chain(rule, 12)
-        verdict = exclusion_verdict(chain)
+        verdict = exclusion_verdict(cover_words(rule, 12), 12)
         if verdict.first_excluding_pair is None:
             continue
         fired += 1

@@ -759,6 +759,49 @@ def test_modelset_radius_past_the_patch_cap_exits_2(files):
     assert "more than 250000 points" in proc.stderr and "MAX_PATCH_POINTS" in proc.stderr
 
 
+def run_limited(argv, timeout=60):
+    """The CLI on ``argv`` in a child process under a 400 MB address-space
+    limit, with its JSON output written to a file read back here."""
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
+        "from aperiodica import cli\n"
+        f"sys.exit(cli.main({argv!r}))\n"
+    )
+    return run_python("-c", code, timeout=timeout)
+
+
+def test_exclude_reaches_length_2000_under_400_mb(files, tmp_path):
+    # The atlas chain held every factor of every length up to n_max: at
+    # 2000 on Fibonacci it died with a MemoryError traceback and exit 1.
+    rule, out = files("fib.json", FIB_RULE), tmp_path / "out.json"
+    proc = run_limited(["exclude", "--rule", rule, "--nmax", "2000", "-o", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(out.read_text())
+    assert data["status"] == "undetermined"
+    assert data["lengths_with_palindromes"] == list(range(1, 2001))
+
+
+def test_rs_table_at_length_400_under_400_mb_never_exits_1(tmp_path):
+    out = tmp_path / "out.json"
+    proc = run_limited(["rs-table", "--nmax", "400", "-o", str(out)])
+    assert proc.returncode in (0, 2), proc.stderr
+    if proc.returncode == 0:
+        rows = json.loads(out.read_text())["rows"]
+        assert [r["count2"] for r in rows[7:]] == [8 * n - 8 for n in range(8, 401)]
+
+
+@pytest.mark.parametrize("command", ["exclude", "rs-table"])
+def test_huge_nmax_exits_2_at_once(files, command):
+    argv = [command, "--nmax", str(10**15)]
+    if command == "exclude":
+        argv += ["--rule", files("fib.json", FIB_RULE)]
+    proc = run_limited(argv, timeout=20)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"error: length {10**15} would hold ")
+    assert f"MAX_COVER_LETTERS = {substitution.MAX_COVER_LETTERS}" in proc.stderr
+
+
 def test_modelset_d_past_the_bound_exits_2(files):
     # Squarefreeness is decided by trial division up to sqrt(d): d = 10**20 + 39
     # once ran past a 30 s timeout in check-window.  d above MAX_D is refused.

@@ -21,9 +21,11 @@ from aperiodica.modelset import (
     star,
 )
 from aperiodica import modelset
-from aperiodica.modelset import _manacher, _row_points
+from aperiodica.modelset import _row_points
 from aperiodica.rudin_shapiro import rs_binary_prefix
-from aperiodica.substitution import atlas_chain, fibonacci_rule
+from aperiodica.substitution import fibonacci_rule
+from aperiodica.words import _manacher
+from chain_oracle import atlas_chain
 
 GOLDEN = QuadField(5, OMEGA_GOLDEN)
 LAT = GOLDEN

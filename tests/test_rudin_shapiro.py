@@ -4,9 +4,9 @@ from aperiodica.rudin_shapiro import (
     BINARY_ALPHABET,
     QUATERNARY_ALPHABET,
     Table1Row,
-    binary_atlas,
     block_count_a,
     equivalence_check,
+    exclusion_verdicts,
     golden_table1,
     phi,
     quaternary_prefix,
@@ -15,7 +15,8 @@ from aperiodica.rudin_shapiro import (
     table1,
 )
 from aperiodica.substitution import atlas_by_induction
-from aperiodica.words import EXCLUDED, exclusion_verdict
+from aperiodica.words import EXCLUDED
+from chain_oracle import atlas_chain, binary_atlas, chain_verdict, phi_atlas, prefix_chain
 
 
 def test_block_count_examples():
@@ -96,12 +97,12 @@ def palindrome_verdicts(n_max):
     """Exclusion verdicts (quaternary, binary) from one closure per length."""
     quaternary = [atlas_by_induction(quaternary_rule(), n) for n in range(1, n_max + 1)]
     binary = [binary_atlas(n) for n in range(1, n_max + 1)]
-    return exclusion_verdict(quaternary), exclusion_verdict(binary)
+    return chain_verdict(quaternary), chain_verdict(binary)
 
 
 def test_verdicts():
     v4, v2 = palindrome_verdicts(16)
-    assert table1(16).verdicts == (v4, v2)
+    assert exclusion_verdicts(16) == (v4, v2)
     assert [r.count2 for r in table1(16)] == [len(binary_atlas(n)) for n in range(1, 17)]
     assert v4.status == EXCLUDED and v4.first_excluding_pair == 8
     assert sorted(v4.lengths_with_palindromes) == [1, 3, 5, 7]
@@ -113,3 +114,18 @@ def test_quaternary_prefix_runs_through_phi():
     prefix = quaternary_prefix(64)
     assert phi(prefix) == rs_binary_prefix(64)
     assert quaternary_rule().alphabet.text(prefix[:8]) == "abacabdb"
+
+
+def test_table_counts_and_statuses_match_the_atlas_chain():
+    for n_max in range(1, 41):
+        quaternary = atlas_chain(quaternary_rule(), n_max)
+        binary = prefix_chain(phi_atlas(quaternary[-1]))
+        verdicts = chain_verdict(quaternary), chain_verdict(binary)
+        assert exclusion_verdicts(n_max) == verdicts
+        rows = table1(n_max)
+        assert [r.count4 for r in rows] == [len(a) for a in quaternary]
+        assert [r.count2 for r in rows] == [len(a) for a in binary]
+        assert rows == table1(n_max, verdicts)
+        assert [r.pal4 == "yes" for r in rows] == [
+            n in verdicts[0].lengths_with_palindromes for n in range(1, n_max + 1)
+        ]

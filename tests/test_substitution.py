@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from chain_oracle import atlas_chain
 from conftest import brute_factors, expanded_word
 from aperiodica import substitution
 from aperiodica.rudin_shapiro import quaternary_rule
@@ -14,8 +15,8 @@ from aperiodica.substitution import (
     apply,
     atlas_by_induction,
     atlas_by_window,
-    atlas_chain,
     complexity,
+    cover_words,
     fibonacci_rule,
     induced_substitute,
     is_primitive,
@@ -198,7 +199,7 @@ def test_atlas_examples():
 
 def test_atlas_requires_primitive_rule():
     swap = SubstitutionRule(Alphabet("ab"), ((1,), (0,)))
-    for build in (atlas_by_induction, atlas_by_window, atlas_chain):
+    for build in (atlas_by_induction, atlas_by_window, atlas_chain, cover_words):
         with pytest.raises(NotPrimitiveError, match="Wielandt bound 2"):
             build(swap, 2)
 

@@ -11,7 +11,8 @@ from aperiodica.words import (
     is_palindrome,
 )
 from aperiodica.rudin_shapiro import quaternary_rule
-from aperiodica.substitution import Atlas, atlas_chain
+from aperiodica.substitution import Atlas
+from chain_oracle import atlas_chain, chain_verdict
 
 AB = Alphabet("ab")
 
@@ -81,24 +82,24 @@ def test_palindromes_in_examples():
     assert palindromes_in(set()) == set()
 
 
-def test_exclusion_verdict_requires_consecutive_lengths():
+def test_chain_verdict_requires_consecutive_lengths():
     with pytest.raises(ValueError):
-        exclusion_verdict(chain({1: {(0,)}, 3: {(0, 0, 0)}}))
+        chain_verdict(chain({1: {(0,)}, 3: {(0, 0, 0)}}))
     with pytest.raises(ValueError):
-        exclusion_verdict(chain({2: {(0, 0)}}))
+        chain_verdict(chain({2: {(0, 0)}}))
     with pytest.raises(ValueError):
-        exclusion_verdict(chain({1: {(0, 0)}}))
+        chain_verdict(chain({1: {(0, 0)}}))
 
 
-def test_exclusion_verdict_constant_sequence_undetermined():
+def test_chain_verdict_constant_sequence_undetermined():
     atlases = {n: {(0,) * n} for n in range(1, 12)}
-    verdict = exclusion_verdict(chain(atlases))
+    verdict = chain_verdict(chain(atlases))
     assert verdict.status == UNDETERMINED
     assert verdict.first_excluding_pair is None
     assert verdict.lengths_with_palindromes == frozenset(range(1, 12))
 
 
-def test_exclusion_verdict_finds_first_pair():
+def test_chain_verdict_finds_first_pair():
     # palindromes at 1 and 2 only: pair (3, 4) is the first gap of two
     atlases = {
         1: {(0,)},
@@ -107,14 +108,14 @@ def test_exclusion_verdict_finds_first_pair():
         4: {(0, 0, 1, 0)},
         5: {(0, 1, 1, 0, 1)},
     }
-    verdict = exclusion_verdict(chain(atlases))
+    verdict = chain_verdict(chain(atlases))
     assert verdict.status == EXCLUDED
     assert verdict.first_excluding_pair == 3
     assert 3 not in verdict.lengths_with_palindromes
     assert 4 not in verdict.lengths_with_palindromes
 
 
-def test_exclusion_verdict_reads_nothing_past_the_first_pair(monkeypatch):
+def test_chain_verdict_reads_nothing_past_the_first_pair(monkeypatch):
     # By the chop argument no length past the first excluding pair can
     # carry a palindrome, so the scan stops there: the Rudin-Shapiro pair
     # is (8, 9), and atlases of lengths 10..40 that would be rejected
@@ -122,14 +123,47 @@ def test_exclusion_verdict_reads_nothing_past_the_first_pair(monkeypatch):
     full = atlas_chain(quaternary_rule(), 40)
     calls = []
     monkeypatch.setattr(words, "is_palindrome", lambda w: calls.append(w) or w == w[::-1])
-    verdict = exclusion_verdict(full)
+    verdict = chain_verdict(full)
     assert verdict.first_excluding_pair == 8
     assert {len(w) for w in calls} == set(range(1, 10))
     assert len(calls) <= sum(len(a) for a in full[:9]) < len(full[-1])
     malformed = full[:9] + [Atlas(3, frozenset({(0,)}))] * 31
-    assert exclusion_verdict(malformed) == verdict
+    assert chain_verdict(malformed) == verdict
     with pytest.raises(ValueError):
-        exclusion_verdict(full[:7] + malformed[9:])
+        chain_verdict(full[:7] + malformed[9:])
+
+
+def test_exclusion_verdict_constant_sequence_undetermined():
+    verdict = exclusion_verdict([(0,) * 40], 11)
+    assert verdict.status == UNDETERMINED
+    assert verdict.first_excluding_pair is None
+    assert verdict.lengths_with_palindromes == frozenset(range(1, 12))
+
+
+def test_exclusion_verdict_finds_first_pair():
+    # palindromes at 1 and 2 only: pair (3, 4) is the first gap of two
+    verdict = exclusion_verdict([(0, 0, 1, 1, 2, 2)], 5)
+    assert verdict.status == EXCLUDED
+    assert verdict.first_excluding_pair == 3
+    assert verdict.lengths_with_palindromes == {1, 2}
+    # The pair must lie within n_max: at 3 only length 3 is scanned past 2.
+    assert exclusion_verdict([(0, 0, 1, 1, 2, 2)], 3).status == UNDETERMINED
+
+
+def test_exclusion_verdict_caps_palindromes_at_n_max():
+    # A palindrome longer than n_max holds one of every shorter length of
+    # its parity, and the verdict reports none past n_max.
+    verdict = exclusion_verdict([(0, 1, 2, 1, 0)], 4)
+    assert verdict.lengths_with_palindromes == {1, 3}
+    assert verdict.first_excluding_pair is None
+    assert exclusion_verdict([(0, 1, 1, 0)], 3).lengths_with_palindromes == {1, 2}
+
+
+def test_exclusion_verdict_skips_empty_words_and_needs_positive_n_max():
+    assert exclusion_verdict([(), (0,), (1,), ()], 1) == exclusion_verdict([(0,), (1,)], 1)
+    assert exclusion_verdict([()], 2).first_excluding_pair == 1
+    with pytest.raises(ValueError):
+        exclusion_verdict([(0,)], 0)
 
 
 @given(st.lists(st.integers(0, 2), max_size=12), st.booleans())
