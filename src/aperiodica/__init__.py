@@ -37,7 +37,6 @@ from .rudin_shapiro import (
     Table1Row,
     block_count_a,
     equivalence_check,
-    exclusion_verdicts,
     phi,
     quaternary_rule,
     rs_binary_prefix,

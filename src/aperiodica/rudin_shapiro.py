@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 
-from .substitution import FixedPointStream, SubstitutionRule, cover_words
+from .substitution import MAX_COVER_LETTERS, FixedPointStream, SubstitutionRule, cover_words
 from .words import Alphabet, exclusion_verdict
 
 BINARY_ALPHABET = Alphabet(("0", "1"))
@@ -90,17 +90,6 @@ def _status(verdict, n):
     return YES if n in verdict.lengths_with_palindromes else NO
 
 
-def _covers(n_max, window=1):
-    """Quaternary cover words and their binary images: phi maps letter to letter."""
-    quaternary = cover_words(_RULE, n_max, window)
-    return quaternary, [phi(w) for w in quaternary]
-
-
-def exclusion_verdicts(n_max):
-    """Exclusion verdicts (quaternary, binary) for lengths 1..n_max."""
-    return tuple(exclusion_verdict(covers, n_max) for covers in _covers(n_max))
-
-
 def _counts(covers, n_max):
     """C(1..n_max) from the sorted distinct length-n_max factors: each
     length-n factor is the prefix of one, so C(n) is one more than the
@@ -110,16 +99,31 @@ def _counts(covers, n_max):
     return [1 + c for c in itertools.accumulate(map(shared.__getitem__, range(n_max)))]
 
 
-def table1(n_max=20, verdicts=None):
-    """Factor counts and palindrome statuses for lengths 1..n_max; the
-    statuses read ``verdicts``, by default :func:`exclusion_verdicts`."""
-    covers = _covers(n_max, window=n_max)
-    v4, v2 = verdicts or (exclusion_verdict(c, n_max) for c in covers)
+def table1(n_max=20):
+    """Rows for lengths 1..n_max, and the exclusion verdicts (quaternary,
+    binary) their statuses are read from.
+
+    Both read the cover words, the binary ones as phi images (phi maps
+    letter to letter).  The counts hold one alphabet's distinct length-n_max
+    factors at a time, at most 8 n_max of them (8n - 8 from n = 8 on):
+    ValueError, before any word is built, when those would hold more than
+    ``MAX_COVER_LETTERS`` letters.
+    """
+    held = 8 * n_max * n_max
+    if held > MAX_COVER_LETTERS:
+        raise ValueError(
+            f"length {n_max} would hold {held} letters of factors, "
+            f"past the cap MAX_COVER_LETTERS = {MAX_COVER_LETTERS}"
+        )
+    quaternary = cover_words(_RULE, n_max)
+    covers = quaternary, [phi(w) for w in quaternary]
+    v4, v2 = verdicts = tuple(exclusion_verdict(c, n_max) for c in covers)
     count4, count2 = (_counts(c, n_max) for c in covers)
-    return [
+    rows = [
         Table1Row(n, count4[n - 1], _status(v4, n), count2[n - 1], _status(v2, n))
         for n in range(1, n_max + 1)
     ]
+    return rows, verdicts
 
 
 def golden_table1():

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from .words import Alphabet
 
 DEFAULT_MAX_PREFIX = 1 << 20
-# Letters of cover words (or their factors) held at once: at a few tens of
-# bytes a letter, words and Manacher's radii stay within 400 MB.
+# Letters held at once, by cover words or by the Rudin-Shapiro table's
+# length-N factors: at a few tens of bytes a letter, words and Manacher's
+# radii stay within 400 MB.
 MAX_COVER_LETTERS = 4_000_000
 
 
@@ -283,7 +284,7 @@ def complexity(rule, n):
     return len(atlas_by_induction(rule, n).words)
 
 
-def cover_words(rule, n, window=1):
+def cover_words(rule, n):
     """Words whose factors of length <= n are exactly the fixed point's:
     each sigma^j(x), with j least such that all have at least n - 1
     letters, and for each legal two-letter word uv the last n - 1 letters
@@ -292,8 +293,7 @@ def cover_words(rule, n, window=1):
     side, so it lies in one block or across one junction.
 
     ValueError, decided from the image lengths before any word is built,
-    when the words' length-``window`` factors, with repetition, would hold
-    more than ``MAX_COVER_LETTERS`` letters.
+    when the words would hold more than ``MAX_COVER_LETTERS`` letters.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -301,7 +301,7 @@ def cover_words(rule, n, window=1):
     j, lengths = 0, [1] * len(rule.images)
     while min(lengths) < n - 1:
         j, lengths = j + 1, [sum(lengths[b] for b in img) for img in rule.images]
-    held = window * sum(max(0, m - window + 1) for m in lengths + [2 * n - 2] * len(pairs))
+    held = sum(lengths) + (2 * n - 2) * len(pairs)
     if held > MAX_COVER_LETTERS:
         raise ValueError(
             f"length {n} would hold {held} letters of cover words, "

@@ -36,7 +36,7 @@ def criterion(name, ok, detail=""):
 def test_table1_reproduction(tmp_path):
     out = tmp_path / "table.tsv"
     code = cli.main(["rs-table", "--nmax", "20", "--golden", "--format", "tsv", "-o", str(out)])
-    rows = rs.table1(20)
+    rows, _ = rs.table1(20)
     golden = rs.golden_table1()
     criterion(
         "table1-reproduction",

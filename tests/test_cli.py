@@ -791,6 +791,16 @@ def test_rs_table_at_length_400_under_400_mb_never_exits_1(tmp_path):
         assert [r["count2"] for r in rows[7:]] == [8 * n - 8 for n in range(8, 401)]
 
 
+def test_rs_table_past_length_611_under_400_mb_exits_0(tmp_path):
+    # The cap once counted every length-N window of the cover words, with
+    # repetition, and refused N >= 612; only the distinct ones are held.
+    out = tmp_path / "out.json"
+    proc = run_limited(["rs-table", "--nmax", "612", "-o", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(out.read_text())["rows"]
+    assert [(r["count4"], r["count2"]) for r in rows[7:]] == [(8 * n - 8,) * 2 for n in range(8, 613)]
+
+
 @pytest.mark.parametrize("command", ["exclude", "rs-table"])
 def test_huge_nmax_exits_2_at_once(files, command):
     argv = [command, "--nmax", str(10**15)]

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from chain_oracle import atlas_chain, chain_verdict, phi_atlas, prefix_chain
 from conftest import acceptance_rules
-from aperiodica.rudin_shapiro import phi, quaternary_rule
+from aperiodica.rudin_shapiro import phi, quaternary_rule, table1
 from aperiodica.substitution import (
     MAX_COVER_LETTERS,
     SubstitutionRule,
@@ -88,7 +88,7 @@ def test_cap_is_decided_before_any_word_is_built():
         with pytest.raises(ValueError, match="MAX_COVER_LETTERS"):
             cover_words(fibonacci_rule(), 10**12)
         with pytest.raises(ValueError, match="MAX_COVER_LETTERS"):
-            cover_words(quaternary_rule(), 1000, window=1000)
+            table1(10**6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

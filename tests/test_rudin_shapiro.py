@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from aperiodica.rudin_shapiro import (
@@ -6,7 +8,6 @@ from aperiodica.rudin_shapiro import (
     Table1Row,
     block_count_a,
     equivalence_check,
-    exclusion_verdicts,
     golden_table1,
     phi,
     quaternary_prefix,
@@ -14,7 +15,7 @@ from aperiodica.rudin_shapiro import (
     rs_binary_prefix,
     table1,
 )
-from aperiodica.substitution import atlas_by_induction
+from aperiodica.substitution import MAX_COVER_LETTERS, atlas_by_induction
 from aperiodica.words import EXCLUDED
 from chain_oracle import atlas_chain, binary_atlas, chain_verdict, phi_atlas, prefix_chain
 
@@ -67,7 +68,7 @@ def test_projected_atlas_equals_direct_factor_scan():
 
 
 def test_table_rows():
-    rows = table1(20)
+    rows, _ = table1(20)
     assert rows[0] == Table1Row(1, 4, "yes", 2, "yes")
     assert rows[1] == Table1Row(2, 8, "no", 4, "yes")
     assert rows[7] == Table1Row(8, 56, "no", 56, "yes")
@@ -78,17 +79,23 @@ def test_table_rows():
 
 
 def test_table_matches_golden_file():
-    assert table1(20) == golden_table1()
+    assert table1(20)[0] == golden_table1()
 
 
 def test_table_prefix_and_validation():
-    assert [r.n for r in table1(5)] == [1, 2, 3, 4, 5]
+    assert [r.n for r in table1(5)[0]] == [1, 2, 3, 4, 5]
     with pytest.raises(ValueError):
         table1(0)
 
 
+def test_table_cap_counts_the_distinct_factors():
+    # At most 8 N distinct factors of N letters each are held at once.
+    with pytest.raises(ValueError, match="MAX_COVER_LETTERS"):
+        table1(math.isqrt(MAX_COVER_LETTERS // 8) + 1)
+
+
 def test_counts_agree_from_length_eight_on():
-    for row in table1(20):
+    for row in table1(20)[0]:
         if row.n >= 8:
             assert row.count4 == row.count2
 
@@ -102,8 +109,9 @@ def palindrome_verdicts(n_max):
 
 def test_verdicts():
     v4, v2 = palindrome_verdicts(16)
-    assert exclusion_verdicts(16) == (v4, v2)
-    assert [r.count2 for r in table1(16)] == [len(binary_atlas(n)) for n in range(1, 17)]
+    rows, verdicts = table1(16)
+    assert verdicts == (v4, v2)
+    assert [r.count2 for r in rows] == [len(binary_atlas(n)) for n in range(1, 17)]
     assert v4.status == EXCLUDED and v4.first_excluding_pair == 8
     assert sorted(v4.lengths_with_palindromes) == [1, 3, 5, 7]
     assert v2.status == EXCLUDED and v2.first_excluding_pair == 15
@@ -121,11 +129,10 @@ def test_table_counts_and_statuses_match_the_atlas_chain():
         quaternary = atlas_chain(quaternary_rule(), n_max)
         binary = prefix_chain(phi_atlas(quaternary[-1]))
         verdicts = chain_verdict(quaternary), chain_verdict(binary)
-        assert exclusion_verdicts(n_max) == verdicts
-        rows = table1(n_max)
+        rows, got = table1(n_max)
+        assert got == verdicts
         assert [r.count4 for r in rows] == [len(a) for a in quaternary]
         assert [r.count2 for r in rows] == [len(a) for a in binary]
-        assert rows == table1(n_max, verdicts)
         assert [r.pal4 == "yes" for r in rows] == [
             n in verdicts[0].lengths_with_palindromes for n in range(1, n_max + 1)
         ]
