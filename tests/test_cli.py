@@ -782,23 +782,17 @@ def test_exclude_reaches_length_2000_under_400_mb(files, tmp_path):
     assert data["lengths_with_palindromes"] == list(range(1, 2001))
 
 
-def test_rs_table_at_length_400_under_400_mb_never_exits_1(tmp_path):
+@pytest.mark.parametrize("n_max", [400, 612])
+def test_rs_table_under_400_mb_exits_0(tmp_path, n_max):
+    # The atlas chain died at 400 with a MemoryError and exit 1; a cap on
+    # every length-N window of the cover words, with repetition, refused
+    # N >= 612.  Only the distinct windows are held.
     out = tmp_path / "out.json"
-    proc = run_limited(["rs-table", "--nmax", "400", "-o", str(out)])
-    assert proc.returncode in (0, 2), proc.stderr
-    if proc.returncode == 0:
-        rows = json.loads(out.read_text())["rows"]
-        assert [r["count2"] for r in rows[7:]] == [8 * n - 8 for n in range(8, 401)]
-
-
-def test_rs_table_past_length_611_under_400_mb_exits_0(tmp_path):
-    # The cap once counted every length-N window of the cover words, with
-    # repetition, and refused N >= 612; only the distinct ones are held.
-    out = tmp_path / "out.json"
-    proc = run_limited(["rs-table", "--nmax", "612", "-o", str(out)])
+    proc = run_limited(["rs-table", "--nmax", str(n_max), "-o", str(out)])
     assert proc.returncode == 0, proc.stderr
     rows = json.loads(out.read_text())["rows"]
-    assert [(r["count4"], r["count2"]) for r in rows[7:]] == [(8 * n - 8,) * 2 for n in range(8, 613)]
+    want = [(8 * n - 8,) * 2 for n in range(8, n_max + 1)]
+    assert [(r["count4"], r["count2"]) for r in rows[7:]] == want
 
 
 @pytest.mark.parametrize("command", ["exclude", "rs-table"])

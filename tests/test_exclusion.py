@@ -1,5 +1,6 @@
 """The exclusion verdict read off cover words, against the atlas chain."""
 
+import math
 import tracemalloc
 
 import pytest
@@ -87,8 +88,10 @@ def test_cap_is_decided_before_any_word_is_built():
     try:
         with pytest.raises(ValueError, match="MAX_COVER_LETTERS"):
             cover_words(fibonacci_rule(), 10**12)
+        # The table holds at most 8 n distinct length-n factors: n = 708 is
+        # the first past the cap.
         with pytest.raises(ValueError, match="MAX_COVER_LETTERS"):
-            table1(10**6)
+            table1(math.isqrt(MAX_COVER_LETTERS // 8) + 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from aperiodica.rudin_shapiro import (
@@ -15,7 +13,7 @@ from aperiodica.rudin_shapiro import (
     rs_binary_prefix,
     table1,
 )
-from aperiodica.substitution import MAX_COVER_LETTERS, atlas_by_induction
+from aperiodica.substitution import atlas_by_induction
 from aperiodica.words import EXCLUDED
 from chain_oracle import atlas_chain, binary_atlas, chain_verdict, phi_atlas, prefix_chain
 
@@ -86,12 +84,6 @@ def test_table_prefix_and_validation():
     assert [r.n for r in table1(5)[0]] == [1, 2, 3, 4, 5]
     with pytest.raises(ValueError):
         table1(0)
-
-
-def test_table_cap_counts_the_distinct_factors():
-    # At most 8 N distinct factors of N letters each are held at once.
-    with pytest.raises(ValueError, match="MAX_COVER_LETTERS"):
-        table1(math.isqrt(MAX_COVER_LETTERS // 8) + 1)
 
 
 def test_counts_agree_from_length_eight_on():
