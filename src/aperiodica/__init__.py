@@ -16,10 +16,8 @@ from .words import (
     is_palindrome,
 )
 from .substitution import (
-    Atlas,
     FixedPointStream,
     NotPrimitiveError,
-    PrefixLimitError,
     SubstitutionRule,
     apply,
     atlas_by_induction,

@@ -102,11 +102,11 @@ def _load_rule(path):
     return substitution.rule_from_dict(_load_json(path))
 
 
-def _atlas_payload(alphabet, atlas):
+def _atlas_payload(alphabet, n, atlas):
     return {
-        "N": atlas.length,
-        "count": len(atlas.words),
-        "words": [alphabet.text(w) for w in atlas.sorted_words()],
+        "N": n,
+        "count": len(atlas),
+        "words": [alphabet.text(w) for w in sorted(atlas)],
     }
 
 
@@ -117,10 +117,10 @@ def cmd_atlas(args):
         by_induction = substitution.atlas_by_induction(rule, args.n)
     if args.method in ("window", "both"):
         by_window = substitution.atlas_by_window(rule, args.n)
-    payload = _atlas_payload(rule.alphabet, by_induction or by_window)
+    payload = _atlas_payload(rule.alphabet, args.n, by_induction or by_window)
     agree = True
     if args.method == "both":
-        agree = by_induction.words == by_window.words
+        agree = by_induction == by_window
         payload["methods_agree"] = agree
     _emit(_json_text(payload), args.output)
     return 0 if agree else 1
@@ -318,6 +318,8 @@ def _ids_grid(lo, hi):
 def cmd_spectrum(args):
     if not math.isfinite(args.coupling):
         raise ValueError(f"--lambda must be finite, got {args.coupling}")
+    if args.size > spectral.MAX_SITES:
+        raise ValueError(f"--size {args.size} is past the bound MAX_SITES = {spectral.MAX_SITES}")
     if args.rule:
         rule, seed = _load_rule(args.rule)
         substitution.require_primitive(rule)
@@ -462,13 +464,7 @@ def main(argv=None):
     except substitution.NotPrimitiveError as exc:
         print(exc, file=sys.stderr)
         return 1
-    except (
-        OSError,
-        json.JSONDecodeError,
-        ValueError,
-        KeyError,
-        substitution.PrefixLimitError,
-    ) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,8 +14,12 @@ from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 
-from .substitution import MAX_COVER_LETTERS, FixedPointStream, SubstitutionRule, cover_words
+from .substitution import FixedPointStream, SubstitutionRule, cover_words
 from .words import Alphabet, exclusion_verdict
+
+# Bytes of length-N factors that table1 holds at once, one byte a
+# letter: at N = 5000 (8 N * N bytes) a run peaked at 214 MiB RSS.
+MAX_TABLE_BYTES = 200_000_000
 
 BINARY_ALPHABET = Alphabet(("0", "1"))
 QUATERNARY_ALPHABET = Alphabet("abcd")
@@ -105,15 +109,15 @@ def table1(n_max=20):
 
     Both read the cover words, the binary ones as phi images (phi maps
     letter to letter).  The counts hold one alphabet's distinct length-n_max
-    factors at a time, at most 8 n_max of them (8n - 8 from n = 8 on):
-    ValueError, before any word is built, when those would hold more than
-    ``MAX_COVER_LETTERS`` letters.
+    factors at a time as bytes, at most 8 n_max of them (8n - 8 from n = 8
+    on): ValueError, before any word is built, when those would hold more
+    than ``MAX_TABLE_BYTES`` bytes.
     """
     held = 8 * n_max * n_max
-    if held > MAX_COVER_LETTERS:
+    if held > MAX_TABLE_BYTES:
         raise ValueError(
-            f"length {n_max} would hold {held} letters of factors, "
-            f"past the cap MAX_COVER_LETTERS = {MAX_COVER_LETTERS}"
+            f"length {n_max} would hold {held} bytes of factors, "
+            f"past the cap MAX_TABLE_BYTES = {MAX_TABLE_BYTES}"
         )
     quaternary = cover_words(_RULE, n_max)
     covers = quaternary, [phi(w) for w in quaternary]

@@ -8,9 +8,8 @@ counting with safeguarded Newton steps, the integrated density of
 states, and transfer matrix products with overflow-safe renormalization.
 A minimal potential has few distinct factors (n + 1 of length n if
 Sturmian, 8n - 8 for Rudin-Shapiro), so a transfer product builds each
-distinct aligned 32-letter block once and applies it by one 2x2 multiply,
-stepping unseen blocks on the running product once 1024 are kept.  Its
-renormalization keeps every step finite (|E - coupling * x| >= 2^900
+distinct aligned 32-letter block once and applies it by one 2x2 multiply.
+Its renormalization keeps every step finite (|E - coupling * x| >= 2^900
 included); each entry is within 4 n 2^-52 ||M|| of the exact product M in
 the hyperbolic regime and in the bounded one away from band edges.
 """
@@ -23,7 +22,10 @@ from dataclasses import dataclass
 
 BOUNDARY_DIRICHLET = "dirichlet"
 BOUNDARY_NEUMANN = "neumann"
-_BLOCK, _TABLE = 32, 1024  # transfer products: letters per block, distinct blocks kept per call
+_BLOCK = 32  # letters per transfer-product block
+# Sites of a section the CLI solves: a solve peaked about 700 bytes of
+# RSS a site (at 3000 and 6000 sites), so 250000 stay within 200 MB.
+MAX_SITES = 250_000
 
 
 @dataclass(frozen=True)
@@ -44,25 +46,21 @@ class TridiagonalOperator:
         return len(self.diagonal)
 
 
-def build_finite(potential, values, coupling, window=None, boundary=BOUNDARY_DIRICHLET):
-    """Finite section with diagonal coupling * values[x_n] over an index window.
+def build_finite(potential, values, coupling, boundary=BOUNDARY_DIRICHLET):
+    """Finite section with diagonal coupling * values[x_n] over the potential word.
 
-    ``values`` maps letters to pairwise different reals; ``window`` is a
-    (start, stop) pair into the potential word, defaulting to all of it.
-    Dirichlet truncation simply chops; Neumann adds the reflected unit
-    hop onto the two end diagonal entries, which keeps the section
-    tridiagonal and exposes boundary sensitivity.
+    ``values`` maps letters to pairwise different reals.  Dirichlet
+    truncation simply chops; Neumann adds the reflected unit hop onto
+    the two end diagonal entries, which keeps the section tridiagonal
+    and exposes boundary sensitivity.
     """
-    start, stop = (0, len(potential)) if window is None else window
-    if not (0 <= start <= stop <= len(potential)):
-        raise ValueError("window must lie within the potential sequence")
-    if stop == start:
+    if not potential:
         raise ValueError("operator needs size >= 1")
     vals = dict(values)
     if len(set(vals.values())) != len(vals):
         raise ValueError("potential values must be pairwise different")
     try:
-        diag = [coupling * vals[a] for a in potential[start:stop]]
+        diag = [coupling * vals[a] for a in potential]
     except KeyError as exc:
         raise ValueError(f"no value assigned to letter {exc}") from None
     if boundary == BOUNDARY_NEUMANN:
@@ -196,15 +194,17 @@ class TransferMatrixProduct:
             return math.inf
 
     def growth_rate(self):
-        """log of the product's max-norm per factor; a Lyapunov-type estimate."""
+        """Finite-n Lyapunov estimate: log of the true product's max-norm per factor."""
         if self.count == 0:
             return 0.0
         norm = max(abs(e) for row in self.matrix for e in row)
         return (self.scale_pow2 * math.log(2.0) + math.log(norm)) / self.count
 
 
-def _steps(a, b, c, d, scale, letters, factor, hi):
-    """Left-multiply by [[factor[x], -1], [1, 0]] per letter x; renormalize outside [2^-100, hi]."""
+def _steps(letters, factor, hi):
+    """(a, b, c, d, scale) of the product of [[factor[x], -1], [1, 0]] over
+    the letters x, each multiplied on the left; renormalized outside [2^-100, hi]."""
+    a, b, c, d, scale = 1.0, 0.0, 0.0, 1.0, 0
     for x in letters:
         v = factor[x]
         a, b, c, d = v * a - c, v * b - d, a, b
@@ -237,10 +237,7 @@ def transfer_product(energy, potential, values, coupling, window=None):
             key = tuple(potential[i : min(i + _BLOCK, stop)])
             block = blocks.get(key)
             if block is None:
-                if len(blocks) >= _TABLE:
-                    a, b, c, d, scale = _steps(a, b, c, d, scale, key, factor, hi)
-                    continue
-                block = blocks[key] = _steps(1.0, 0.0, 0.0, 1.0, 0, key, factor, hi)
+                block = blocks[key] = _steps(key, factor, hi)
             p, q, r, s, e = block
             a, b, c, d = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
             big = max(abs(a), abs(b), abs(c), abs(d))

@@ -14,14 +14,9 @@ from dataclasses import dataclass
 from .words import Alphabet
 
 DEFAULT_MAX_PREFIX = 1 << 20
-# Letters held at once, by cover words or by the Rudin-Shapiro table's
-# length-N factors: at a few tens of bytes a letter, words and Manacher's
-# radii stay within 400 MB.
+# Letters held at once by cover words: at a few tens of bytes a letter,
+# words and Manacher's radii stay within 400 MB.
 MAX_COVER_LETTERS = 4_000_000
-
-
-class PrefixLimitError(RuntimeError):
-    """Window-method factor collection hit the prefix cap before closing."""
 
 
 class NotPrimitiveError(ValueError):
@@ -214,23 +209,10 @@ def induced_substitute(rule, w):
     return [full[i : i + n] for i in range(m)]
 
 
-@dataclass(frozen=True)
-class Atlas:
-    """All length-N factors of the fixed point of a primitive rule."""
-
-    length: int
-    words: frozenset
-
-    def __len__(self):
-        return len(self.words)
-
-    def sorted_words(self):
-        return sorted(self.words)
-
-
 def atlas_by_induction(rule, n):
-    """Length-n atlas: the closure of a fixed point's length-n prefix
-    under the induced map, after checking that the rule is primitive.
+    """Length-n atlas, the frozenset of the fixed point's length-n
+    factors: the closure of its length-n prefix under the induced map,
+    after checking that the rule is primitive.
 
     Applied k times to a legal word w, the induced map yields every
     length-n window of sigma^k(w) that starts inside sigma^k(w[0]); for a
@@ -248,7 +230,7 @@ def atlas_by_induction(rule, n):
             if v not in words:
                 words.add(v)
                 todo.append(v)
-    return Atlas(n, frozenset(words))
+    return frozenset(words)
 
 
 def _ngrams(word, n):
@@ -261,8 +243,8 @@ def atlas_by_window(rule, n):
     The prefix doubles until its factor set is closed under the induced
     map.  A nonempty closed set of legal words holds the closure of each
     of its members, which is the whole language, so the stop is exact
-    and needs no a-priori repetitivity constant.  The prefix may not grow
-    past ``DEFAULT_MAX_PREFIX`` letters.
+    and needs no a-priori repetitivity constant.  A prefix that would
+    grow past ``DEFAULT_MAX_PREFIX`` letters raises ValueError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -272,16 +254,16 @@ def atlas_by_window(rule, n):
     while length <= DEFAULT_MAX_PREFIX:
         factors = _ngrams(stream.prefix(length), n)
         if all(v in factors for w in factors for v in induced_substitute(rule, w)):
-            return Atlas(n, frozenset(factors))
+            return frozenset(factors)
         length *= 2
-    raise PrefixLimitError(
+    raise ValueError(
         f"factor set of length {n} did not close within the prefix cap {DEFAULT_MAX_PREFIX}"
     )
 
 
 def complexity(rule, n):
     """Number of distinct length-n factors of the fixed point."""
-    return len(atlas_by_induction(rule, n).words)
+    return len(atlas_by_induction(rule, n))
 
 
 def cover_words(rule, n):
@@ -297,7 +279,7 @@ def cover_words(rule, n):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    pairs = atlas_by_induction(rule, 2).sorted_words()
+    pairs = sorted(atlas_by_induction(rule, 2))
     j, lengths = 0, [1] * len(rule.images)
     while min(lengths) < n - 1:
         j, lengths = j + 1, [sum(lengths[b] for b in img) for img in rule.images]

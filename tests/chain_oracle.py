@@ -10,17 +10,18 @@ route.
 
 from aperiodica import words
 from aperiodica.rudin_shapiro import phi, quaternary_rule
-from aperiodica.substitution import Atlas, atlas_by_induction
+from aperiodica.substitution import atlas_by_induction
 from aperiodica.words import EXCLUDED, UNDETERMINED, PalindromeVerdict
 
 
 def prefix_chain(top):
-    """Atlases for lengths 1..top.length (index 0 holds length 1), each the
-    prefix set of the one above; exact when every factor extends to the
-    right, as on a one-sided fixed point and its letterwise images."""
+    """Atlases for lengths 1..N, N the length of the words of ``top``
+    (index i holds length i + 1), each the prefix set of the one above;
+    exact when every factor extends to the right, as on a one-sided fixed
+    point and its letterwise images."""
     chain = [top]
-    for n in range(top.length - 1, 0, -1):
-        chain.append(Atlas(n, frozenset(w[:-1] for w in chain[-1].words)))
+    for _ in range(len(next(iter(top))) - 1):
+        chain.append(frozenset(w[:-1] for w in chain[-1]))
     chain.reverse()
     return chain
 
@@ -33,7 +34,7 @@ def atlas_chain(rule, n_max):
 
 def phi_atlas(atlas):
     """The letterwise phi image of a quaternary atlas."""
-    return Atlas(atlas.length, frozenset(phi(w) for w in atlas.words))
+    return frozenset(phi(w) for w in atlas)
 
 
 def binary_atlas(n):
@@ -45,19 +46,16 @@ def binary_atlas(n):
 def chain_verdict(chain):
     """The palindromicity verdict from the atlas chain for lengths 1..N_max.
 
-    ``chain[i]`` is the atlas (``length`` and ``words``) of length i + 1.
-    The scan stops at the first pair of lengths without palindromic
-    factors: by the chop argument no longer length carries one, so the
-    atlases past the pair are not read.
+    ``chain[i]`` is the set of words of length i + 1.  The scan stops at
+    the first pair of lengths without palindromic factors: by the chop
+    argument no longer length carries one, so the atlases past the pair
+    are not read.
     """
     if not chain:
         raise ValueError("atlases must cover consecutive lengths 1..N_max")
     with_pal = set()
     first_pair = None
-    for n, atlas in enumerate(chain, 1):
-        if atlas.length != n:
-            raise ValueError("atlases must cover consecutive lengths 1..N_max")
-        found = atlas.words
+    for n, found in enumerate(chain, 1):
         if any(len(w) != n for w in found):
             raise ValueError(f"atlas for length {n} contains words of other lengths")
         if any(words.is_palindrome(w) for w in found):

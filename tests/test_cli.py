@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from conftest import run_python
 from aperiodica import cli
-from aperiodica import rudin_shapiro, substitution
+from aperiodica import rudin_shapiro, spectral, substitution
 from aperiodica.words import Alphabet
 
 
@@ -782,11 +782,12 @@ def test_exclude_reaches_length_2000_under_400_mb(files, tmp_path):
     assert data["lengths_with_palindromes"] == list(range(1, 2001))
 
 
-@pytest.mark.parametrize("n_max", [400, 612])
+@pytest.mark.parametrize("n_max", [400, 612, 708, 1500])
 def test_rs_table_under_400_mb_exits_0(tmp_path, n_max):
     # The atlas chain died at 400 with a MemoryError and exit 1; a cap on
     # every length-N window of the cover words, with repetition, refused
-    # N >= 612.  Only the distinct windows are held.
+    # N >= 612, and one counting tens of bytes a letter refused N >= 708.
+    # Only the distinct windows are held, one byte a letter.
     out = tmp_path / "out.json"
     proc = run_limited(["rs-table", "--nmax", str(n_max), "-o", str(out)])
     assert proc.returncode == 0, proc.stderr
@@ -803,7 +804,38 @@ def test_huge_nmax_exits_2_at_once(files, command):
     proc = run_limited(argv, timeout=20)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith(f"error: length {10**15} would hold ")
-    assert f"MAX_COVER_LETTERS = {substitution.MAX_COVER_LETTERS}" in proc.stderr
+    if command == "exclude":
+        assert f"MAX_COVER_LETTERS = {substitution.MAX_COVER_LETTERS}" in proc.stderr
+    else:
+        assert f"MAX_TABLE_BYTES = {rudin_shapiro.MAX_TABLE_BYTES}" in proc.stderr
+
+
+@pytest.mark.parametrize("with_rule", [False, True])
+def test_spectrum_size_past_the_bound_exits_2(files, with_rule):
+    # --size 10**8 built its letters first: under a 400 MB address-space
+    # limit it died with a MemoryError traceback and exit 1.  The size is
+    # now refused before any letter is built.
+    argv = ["spectrum", "--size", str(10**8)]
+    if with_rule:
+        argv += ["--rule", files("fib.json", FIB_RULE), "--values", "a=0,b=1"]
+    proc = run_limited(argv, timeout=20)
+    assert proc.returncode == 2, proc.stderr
+    bound = f"MAX_SITES = {spectral.MAX_SITES}"
+    assert proc.stderr == f"error: --size {10**8} is past the bound {bound}\n"
+
+
+def test_spectrum_size_at_the_bound_reaches_the_solve(monkeypatch, capsys):
+    # A solve at the bound takes hours, so the operator is stopped once built.
+    sizes = []
+
+    def stop(potential, *args, **kwargs):
+        sizes.append(len(potential))
+        raise ValueError("stopped before the solve")
+
+    monkeypatch.setattr(spectral, "build_finite", stop)
+    assert cli.main(["spectrum", "--size", str(spectral.MAX_SITES)]) == 2
+    assert sizes == [spectral.MAX_SITES]
+    assert capsys.readouterr().err == "error: stopped before the solve\n"
 
 
 def test_modelset_d_past_the_bound_exits_2(files):

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from chain_oracle import atlas_chain, chain_verdict, phi_atlas, prefix_chain
 from conftest import acceptance_rules
-from aperiodica.rudin_shapiro import phi, quaternary_rule, table1
+from aperiodica.rudin_shapiro import MAX_TABLE_BYTES, phi, quaternary_rule, table1
 from aperiodica.substitution import (
     MAX_COVER_LETTERS,
     SubstitutionRule,
@@ -67,8 +67,8 @@ def growing_rules(draw):
 def test_cover_words_hold_exactly_the_language(rule, n_max):
     covers = cover_words(rule, n_max)
     chain = atlas_chain(rule, n_max)
-    for atlas in chain:
-        assert factors(covers, atlas.length) == atlas.words
+    for n, atlas in enumerate(chain, 1):
+        assert factors(covers, n) == atlas
     assert exclusion_verdict(covers, n_max) == chain_verdict(chain)
 
 
@@ -80,7 +80,7 @@ def test_junction_words_at_lengths_one_and_two():
     assert one[:4] == [(0,), (1,), (2,), (3,)] and set(one[4:]) == {()}
     assert exclusion_verdict(one, 1).lengths_with_palindromes == {1}
     two = cover_words(rule, 2)
-    assert set(two[4:]) == atlas_chain(rule, 2)[-1].words
+    assert set(two[4:]) == atlas_chain(rule, 2)[-1]
 
 
 def test_cap_is_decided_before_any_word_is_built():
@@ -88,10 +88,10 @@ def test_cap_is_decided_before_any_word_is_built():
     try:
         with pytest.raises(ValueError, match="MAX_COVER_LETTERS"):
             cover_words(fibonacci_rule(), 10**12)
-        # The table holds at most 8 n distinct length-n factors: n = 708 is
-        # the first past the cap.
-        with pytest.raises(ValueError, match="MAX_COVER_LETTERS"):
-            table1(math.isqrt(MAX_COVER_LETTERS // 8) + 1)
+        # The table holds at most 8 n distinct length-n factors of n bytes
+        # each: n = 5001 is the first past the cap.
+        with pytest.raises(ValueError, match="MAX_TABLE_BYTES"):
+            table1(math.isqrt(MAX_TABLE_BYTES // 8) + 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -52,17 +52,17 @@ def test_equivalence_of_both_constructions():
 
 
 def test_binary_atlas_counts():
-    assert len(binary_atlas(1).words) == 2
-    assert binary_atlas(1).words == {(0,), (1,)}
-    assert len(binary_atlas(6).words) == 36
-    assert len(binary_atlas(9).words) == 64
+    assert len(binary_atlas(1)) == 2
+    assert binary_atlas(1) == {(0,), (1,)}
+    assert len(binary_atlas(6)) == 36
+    assert len(binary_atlas(9)) == 64
 
 
 def test_projected_atlas_equals_direct_factor_scan():
     word = rs_binary_prefix(2**14)
     for n in range(1, 11):
         direct = {word[i : i + n] for i in range(len(word) - n + 1)}
-        assert binary_atlas(n).words == direct
+        assert binary_atlas(n) == direct
 
 
 def test_table_rows():

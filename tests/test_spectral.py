@@ -40,7 +40,7 @@ def test_build_finite_examples():
     assert op.diagonal == (0.0, 1.0, 0.0, 0.0, 1.0)
     op = build_finite(fib_prefix(5), FIB_VALUES, 0.0)
     assert op.diagonal == (0.0,) * 5
-    op = build_finite(fib_prefix(10), FIB_VALUES, 2.0, (3, 6))
+    op = build_finite(fib_prefix(10)[3:6], FIB_VALUES, 2.0)
     assert op.diagonal == (0.0, 2.0, 0.0)
 
 
@@ -49,10 +49,10 @@ def test_build_finite_validation():
         build_finite((0, 1), {0: 1.0, 1: 1.0}, 1.0)
     with pytest.raises(ValueError):
         build_finite((0, 1), {0: 0.0}, 1.0)
-    with pytest.raises(ValueError):
-        build_finite((0, 1), FIB_VALUES, 1.0, (0, 5))
-    with pytest.raises(ValueError):
-        build_finite((0, 1), FIB_VALUES, 1.0, (1, 1))
+    with pytest.raises(ValueError, match="size >= 1"):
+        build_finite((), FIB_VALUES, 1.0)
+    with pytest.raises(ValueError, match="size >= 1"):
+        build_finite((), FIB_VALUES, 1.0, boundary=BOUNDARY_NEUMANN)
     with pytest.raises(ValueError):
         build_finite((0, 1), FIB_VALUES, 1.0, boundary="mystery")
 
@@ -327,33 +327,27 @@ def test_transfer_product_matches_decimal_oracle(name):
             assert_matches_oracle(t, energy, word, values, coupling)
 
 
-def test_transfer_product_past_the_block_table(monkeypatch):
-    # 40000 random letters hold more than 1024 distinct 32-letter blocks,
-    # so the last ones are stepped on the running product.
+def test_transfer_product_on_a_word_of_many_distinct_blocks(monkeypatch):
+    # 40000 random letters hold about 1250 distinct 32-letter blocks, and
+    # the call's table steps each of them once.
     word = tuple(random_word(40, 4, 40000))
     values = {0: -1.0, 1: -0.3, 2: 0.4, 3: 0.9}
-    starts = []  # per step run: whether it starts from the identity
+    stepped = []
     steps = spectral._steps
 
-    def recorded(a, b, c, d, scale, *rest):
-        starts.append((a, b, c, d, scale) == (1.0, 0.0, 0.0, 1.0, 0))
-        return steps(a, b, c, d, scale, *rest)
+    def recorded(letters, *rest):
+        stepped.append(letters)
+        return steps(letters, *rest)
 
     monkeypatch.setattr(spectral, "_steps", recorded)
     for energy, coupling in ((1.37, 0.0), (3.5, 1.0)):
-        starts.clear()
+        stepped.clear()
         t = transfer_product(energy, word, values, coupling, (11, 39990))
         assert_matches_oracle(t, energy, word, values, coupling)
-        # every block is a table entry built from the identity until the
-        # table is full; the rest are stepped on the running product
-        assert starts == [True] * spectral._TABLE + [False] * (len(starts) - spectral._TABLE)
-        assert len(starts) == -(-t.count // spectral._BLOCK)
-    # A table of three blocks mixes reused and stepped blocks on one word.
-    monkeypatch.setattr(spectral, "_TABLE", 3)
-    word = fib_prefix(3000)
-    for energy, coupling in ((1.37, 0.0), (0.2, 0.3), (3.5, 1.0)):
-        t = transfer_product(energy, word, FIB_VALUES, coupling, (7, 2990))
-        assert_matches_oracle(t, energy, word, FIB_VALUES, coupling)
+        size = spectral._BLOCK
+        blocks = {word[i : min(i + size, 39990)] for i in range(11, 39990, size)}
+        assert len(stepped) == len(blocks) > 1024
+        assert set(stepped) == blocks
 
 
 @pytest.mark.parametrize(

@@ -7,10 +7,8 @@ from conftest import brute_factors, expanded_word
 from aperiodica import substitution
 from aperiodica.rudin_shapiro import quaternary_rule
 from aperiodica.substitution import (
-    Atlas,
     FixedPointStream,
     NotPrimitiveError,
-    PrefixLimitError,
     SubstitutionRule,
     apply,
     atlas_by_induction,
@@ -46,7 +44,7 @@ def matrix_power(m, k):
 
 
 def atlas_texts(rule, atlas):
-    return sorted(rule.alphabet.text(w) for w in atlas.words)
+    return sorted(rule.alphabet.text(w) for w in atlas)
 
 
 def test_rule_validation():
@@ -225,14 +223,14 @@ def test_atlas_matches_brute_force_factors():
     for rule, n in cases:
         seed, _ = resolve_seed_and_power(rule)
         expected = brute_factors(rule, seed, n, min_length=20000)
-        assert atlas_by_induction(rule, n).words == expected
-        assert atlas_by_window(rule, n).words == expected
+        assert atlas_by_induction(rule, n) == expected
+        assert atlas_by_window(rule, n) == expected
         chain = atlas_chain(rule, n)
-        assert [a.length for a in chain] == list(range(1, n + 1))
+        assert [{len(w) for w in a} for a in chain] == [{k} for k in range(1, n + 1)]
         word = expanded_word(rule, seed, 20000)
-        for atlas in chain:
-            windows = zip(*(word[j:] for j in range(atlas.length)))
-            assert atlas.words == set(windows)
+        for k, atlas in enumerate(chain, 1):
+            windows = zip(*(word[j:] for j in range(k)))
+            assert atlas == set(windows)
 
 
 def test_every_fixed_point_has_the_atlas_of_its_rule():
@@ -247,7 +245,7 @@ def test_every_fixed_point_has_the_atlas_of_its_rule():
             except ValueError:
                 pass
         multi_seed += len(seeds) > 1
-        atlases = [atlas_by_induction(rule, n).words for n in range(1, 9)]
+        atlases = [atlas_by_induction(rule, n) for n in range(1, 9)]
         for s in seeds:
             word = FixedPointStream(rule, s).prefix(20000)
             for n, atlas in enumerate(atlases, 1):
@@ -258,15 +256,15 @@ def test_every_fixed_point_has_the_atlas_of_its_rule():
 def test_method_equivalence_small():
     for rule in (fibonacci_rule(), thue_morse_rule(), quaternary_rule()):
         for n in range(1, 13):
-            assert atlas_by_induction(rule, n).words == atlas_by_window(rule, n).words
+            assert atlas_by_induction(rule, n) == atlas_by_window(rule, n)
 
 
 def test_monotone_consistency():
     rule = quaternary_rule()
     chain = atlas_chain(rule, 10)
     for n in range(2, 11):
-        smaller = chain[n - 2].words
-        for w in chain[n - 1].words:
+        smaller = chain[n - 2]
+        for w in chain[n - 1]:
             assert w[:-1] in smaller
             assert w[1:] in smaller
 
@@ -292,7 +290,7 @@ def test_induced_substitute_matches_full_image():
     # The induced map builds only the m + N - 1 image letters its windows
     # read; they must be the windows of the whole image.
     for rule in [fibonacci_rule(), quaternary_rule()] + random_primitive_rules(20, 5):
-        for w in atlas_by_induction(rule, 9).words:
+        for w in atlas_by_induction(rule, 9):
             full = apply(rule, w)
             m = len(rule.images[w[0]])
             assert induced_substitute(rule, w) == [full[i : i + 9] for i in range(m)]
@@ -303,9 +301,9 @@ def test_stable_set_idempotence():
     for rule in (fibonacci_rule(), quaternary_rule()):
         atlas = atlas_by_induction(rule, 7)
         image = set()
-        for w in atlas.words:
+        for w in atlas:
             image.update(induced_substitute(rule, w))
-        assert image == set(atlas.words)
+        assert image == atlas
 
 
 def test_sturmian_complexity_oracle():
@@ -316,11 +314,12 @@ def test_sturmian_complexity_oracle():
 
 def test_window_method_prefix_cap(monkeypatch):
     monkeypatch.setattr(substitution, "DEFAULT_MAX_PREFIX", 128)
-    with pytest.raises(PrefixLimitError):
+    with pytest.raises(ValueError, match="did not close within the prefix cap 128"):
         atlas_by_window(quaternary_rule(), 10)
 
 
-def test_atlas_sorted_words_are_deterministic():
-    atlas = atlas_by_induction(quaternary_rule(), 4)
-    assert atlas.sorted_words() == sorted(atlas.words)
-    assert isinstance(atlas, Atlas)
+def test_atlas_is_the_frozenset_of_its_words():
+    for build in (atlas_by_induction, atlas_by_window):
+        atlas = build(quaternary_rule(), 4)
+        assert type(atlas) is frozenset and len(atlas) == 24
+        assert {len(w) for w in atlas} == {4}

@@ -11,7 +11,6 @@ from aperiodica.words import (
     is_palindrome,
 )
 from aperiodica.rudin_shapiro import quaternary_rule
-from aperiodica.substitution import Atlas
 from chain_oracle import atlas_chain, chain_verdict
 
 AB = Alphabet("ab")
@@ -19,7 +18,7 @@ AB = Alphabet("ab")
 
 def chain(by_length):
     """The atlas chain holding, in order, the word sets of ``by_length``."""
-    return [Atlas(n, frozenset(word_set)) for n, word_set in by_length.items()]
+    return [frozenset(word_set) for word_set in by_length.values()]
 
 
 def test_alphabet_rejects_bad_symbols():
@@ -127,7 +126,7 @@ def test_chain_verdict_reads_nothing_past_the_first_pair(monkeypatch):
     assert verdict.first_excluding_pair == 8
     assert {len(w) for w in calls} == set(range(1, 10))
     assert len(calls) <= sum(len(a) for a in full[:9]) < len(full[-1])
-    malformed = full[:9] + [Atlas(3, frozenset({(0,)}))] * 31
+    malformed = full[:9] + [frozenset({(0,)})] * 31
     assert chain_verdict(malformed) == verdict
     with pytest.raises(ValueError):
         chain_verdict(full[:7] + malformed[9:])
