@@ -40,6 +40,9 @@ def _json_text(payload):
     patch itself on a ``generate`` payload.  This renderer joins each
     container's parts once and memoises the ``"key": `` prefixes for the
     call.  A non-finite float raises ValueError, as with allow_nan=False.
+    A value with a ``json_items(indent)`` method is an array that renders
+    its own items, given the newline and indentation they start on:
+    ``_Points``, the lattice points of a ``generate`` payload.
     """
     prefixes = _KeyPrefixes()
 
@@ -65,11 +68,15 @@ def _json_text(payload):
             for v in value:
                 parts.append(render(v, inner))
             brackets = "[]"
+        elif hasattr(value, "json_items"):
+            parts, brackets = value.json_items(inner), "[]"
         else:
             raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
         if not parts:
             return brackets
-        return brackets[0] + inner + ("," + inner).join(parts) + indent + brackets[1]
+        parts[0] = brackets[0] + inner + parts[0]
+        parts[-1] += indent + brackets[1]
+        return ("," + inner).join(parts)
 
     return render(payload, "\n") + "\n"
 
@@ -221,14 +228,45 @@ def _load_modelset_spec(path, r_override):
     return field, window, radius
 
 
-def _lattice_point(m, n, omega):
-    """Exact (m, n) of the lattice point m + n*omega, with the float
-    rendering of m + n*omega, or null when that has no finite float."""
+def _lattice_value(m, n, omega):
+    """The one rendering of the lattice point m + n*omega: the float
+    m + n*omega to 15 significant digits, or None when it is not finite."""
     try:
         value = m + n * omega
     except OverflowError:
-        value = math.inf
-    return {"m": m, "n": n, "value": _f15(value) if math.isfinite(value) else None}
+        return None
+    return format(value, ".15g") if math.isfinite(value) else None
+
+
+class _Points:
+    """The ``points`` array of a ``generate`` payload, whose items render
+    themselves: one format string a point, with no dict per point."""
+
+    def __init__(self, coords, omega):
+        self.coords, self.omega = coords, omega
+
+    def json_items(self, indent):
+        key, omega = indent + "  ", self.omega
+        items = []
+        for m, n in self.coords:
+            value = _lattice_value(m, n, omega)
+            value = "null" if value is None else f'"{value}"'
+            items.append(f'{{{key}"m": {m},{key}"n": {n},{key}"value": {value}{indent}}}')
+        return items
+
+
+# The points text of a generate payload is held about twice over while
+# it is joined, beside the patch: a run whose points came to 49.7 MB of
+# text (418-digit m and n) peaked at 143 MiB on CPython 3.11.
+MAX_GENERATE_BYTES = 50_000_000
+
+
+def _point_bytes(field, window, radius):
+    """An upper bound on the text of one point of a patch within radius
+    R: 81 bytes with a 24-byte value and both signs, and the digits of
+    the largest |m| and |n|, at most 0.30103*b + 1 for b bits."""
+    bounds = modelset._coordinate_bounds(field, window, radius)
+    return 81 + sum(int(k.bit_length() * 0.30103) + 1 for k in bounds)
 
 
 # The gap names: an interval window has at most three gaps (three-distance theorem).
@@ -260,14 +298,21 @@ def cmd_modelset(args):
     if hits:
         payload["warning"] = "window is not generic: " + ", ".join(str(e) for e in hits)
         payload["suggested_shift"] = str(suggestion)
+    if args.action == "generate":
+        per_point = _point_bytes(field, window, radius)
+        if modelset.expected_count(field, window, radius) * per_point > MAX_GENERATE_BYTES:
+            raise ValueError(
+                f"radius R = {radius} expects more than {MAX_GENERATE_BYTES} bytes of points "
+                f"({per_point} a point), the generate cap MAX_GENERATE_BYTES"
+            )
     patch = modelset.enumerate_patch(field, window, radius)
     omega = float(field.omega())
     if args.action == "generate":
         payload["count"] = len(patch)
-        payload["points"] = [_lattice_point(m, n, omega) for m, n in patch.coords]
+        payload["points"] = _Points(patch.coords, omega)
         if len(patch) >= 2:
             payload["legend"] = [
-                {"letter": letter, **_lattice_point(m, n, omega)}
+                {"letter": letter, "m": m, "n": n, "value": _lattice_value(m, n, omega)}
                 for letter, (m, n) in zip(_GAP_NAMES, patch.gap_coords)
             ]
             payload["sequence"] = "".join(map(_GAP_NAMES.__getitem__, patch.letters))
@@ -275,9 +320,10 @@ def cmd_modelset(args):
         witness = modelset.inversion_witness(window, field)
         payload["count"] = len(patch)
         payload["centro_symmetry_center"] = str(modelset.centro_symmetry_center(window))
-        payload["inversion_witness"] = (
-            None if witness is None else _lattice_point(*witness, omega)
-        )
+        if witness is not None:
+            m, n = witness
+            witness = {"m": m, "n": n, "value": _lattice_value(m, n, omega)}
+        payload["inversion_witness"] = witness
     else:
         if len(patch) < 2:
             raise ValueError("need at least two points to read off gaps")

@@ -338,9 +338,25 @@ def _row_points(lattice, lo, hi, x_lo, x_hi):
     return out
 
 
-# A generate payload of this many points peaks near 200 MiB on CPython
+# A generate payload of this many points peaks near 110 MiB on CPython
 # 3.11; the largest patch the tests build has about 107000 points.
 MAX_PATCH_POINTS = 250_000
+
+
+def expected_count(lattice, window, radius):
+    """2R|W| / |omega - omega*|, exactly: |omega - omega*| is the lattice's
+    covolume, so the model set has density |W| / |omega - omega*| and the
+    patch within radius R about 2R times that many points."""
+    return (window.hi - window.lo) * (2 * Fraction(radius)) / (lattice.omega() - lattice.omega_star())
+
+
+def _coordinate_bounds(lattice, window, radius):
+    """(M, N) with |m| < M and |n| < N for every point m + n*omega of the
+    patch within radius R: a point z has |z| <= R and |z*| <= |lo| + |hi|,
+    so |n| = |z - z*| / (omega - omega*) and |m| = |z - n*omega|."""
+    omega = lattice.omega()
+    n_max = ((radius + abs(window.lo) + abs(window.hi)) / (omega - lattice.omega_star())).floor() + 1
+    return (radius + abs(omega) * n_max).floor() + 1, n_max
 
 
 def enumerate_patch(lattice, window, radius):
@@ -370,9 +386,7 @@ def enumerate_patch(lattice, window, radius):
         raise ValueError("window and lattice use different fields")
     lo, hi = window.lo, window.hi
     width = hi - lo
-    # |omega - omega*| is the lattice's covolume, so the model set has
-    # density |W| / |omega - omega*| and the patch about 2R times that.
-    if width * (2 * R) > (lattice.omega() - lattice.omega_star()) * MAX_PATCH_POINTS:
+    if expected_count(lattice, window, R) > MAX_PATCH_POINTS:
         raise ValueError(
             f"radius R = {R} expects more than {MAX_PATCH_POINTS} points "
             f"(2R|W|/|omega - omega*|), the patch cap MAX_PATCH_POINTS"
@@ -408,7 +422,7 @@ def enumerate_patch(lattice, window, radius):
 
     # Every patch point has |n*sq| <= ub_max, so a candidate x + g read
     # against an edge has |b| <= ub_max + |gn*sq| + max(|lb|, |hb|).
-    ub_max = (((R + abs(lo) + abs(hi)) / (lattice.omega() - omega_star)).floor() + 1) * abs(sq)
+    ub_max = _coordinate_bounds(lattice, window, R)[1] * abs(sq)
     edge = max(abs(lb), abs(hb))
     K = max(ub_max, edge).bit_length() + 24
     root = math.isqrt(d << 2 * K)

@@ -4,6 +4,7 @@ import math
 import random
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, strategies as st
 
 from conftest import run_python
 from aperiodica import cli
-from aperiodica import rudin_shapiro, spectral, substitution
+from aperiodica import modelset, rudin_shapiro, spectral, substitution
 from aperiodica.words import Alphabet
 
 
@@ -614,25 +615,28 @@ def test_modelset_symmetry_with_huge_exact_candidate(files):
     assert data["inversion_witness"] == {"m": -2 * (g - f), "n": -2 * f, "value": None}
 
 
-def test_modelset_far_window_all_actions(files):
-    # [tau^2000 - 1/2, tau^2000 + 1/2], tau^2000 = (L_2000 + F_2000 sqrt(5)) / 2:
-    # every patch point has (m, n) of about 418 digits, so no point has a
-    # float and each is printed with exact m and n and "value": null.
+def far_window_spec():
+    """[tau^2000 - 1/2, tau^2000 + 1/2], tau^2000 = (L_2000 + F_2000 sqrt(5)) / 2,
+    written with 418-digit coefficients."""
     f, g = 0, 1
     for _ in range(2000):
         f, g = g, f + g
     lucas = 2 * g - f
-    spec = files(
-        "far.json",
-        {
-            "d": 5,
-            "omega": "golden",
-            "window": {
-                "lo": {"p": f"{lucas - 1}/2", "q": f"{f}/2"},
-                "hi": {"p": f"{lucas + 1}/2", "q": f"{f}/2"},
-            },
+    return {
+        "d": 5,
+        "omega": "golden",
+        "window": {
+            "lo": {"p": f"{lucas - 1}/2", "q": f"{f}/2"},
+            "hi": {"p": f"{lucas + 1}/2", "q": f"{f}/2"},
         },
-    )
+    }
+
+
+def test_modelset_far_window_all_actions(files):
+    # Every patch point of the far window has (m, n) of about 418 digits,
+    # so no point has a float and each is printed with exact m and n and
+    # "value": null.
+    spec = files("far.json", far_window_spec())
     out = {}
     for action in ("generate", "check-window", "symmetry", "palindromes"):
         proc = run_python("-m", "aperiodica.cli", "modelset", "--spec", spec, "--action", action, "-R", "20")
@@ -646,6 +650,87 @@ def test_modelset_far_window_all_actions(files):
     assert out["check-window"]["W4"] is True
     assert out["symmetry"]["inversion_witness"]["value"] is None
     assert out["palindromes"]["sequence_length"] == len(points) - 1
+
+
+def generate_oracle(spec, radius):
+    """What ``modelset --action generate`` must write: ``json.dumps`` of
+    the payload built here as dicts, one dict a point, from the library's
+    patch and genericity verdict."""
+    field, window, R = cli._load_modelset_spec(spec, radius)
+    omega = float(field.omega())
+
+    def point(m, n):
+        try:
+            value = m + n * omega
+        except OverflowError:
+            value = math.inf
+        return {"m": m, "n": n, "value": format(value, ".15g") if math.isfinite(value) else None}
+
+    hits = modelset.check_generic(window, field)
+    patch = modelset.enumerate_patch(field, window, R)
+    payload = {
+        "d": field.d,
+        "omega": field.omega_style,
+        "window": {"lo": str(window.lo), "hi": str(window.hi)},
+        "R": str(R),
+        "count": len(patch),
+        "points": [point(m, n) for m, n in patch.coords],
+    }
+    if hits:
+        payload["warning"] = "window is not generic: " + ", ".join(map(str, hits))
+        payload["suggested_shift"] = str(modelset.genericity_shift(window, field))
+    if len(patch) >= 2:
+        payload["legend"] = [
+            {"letter": letter, **point(m, n)} for letter, (m, n) in zip("abc", patch.gap_coords)
+        ]
+        payload["sequence"] = "".join("abc"[i] for i in patch.letters)
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def seeded_window_specs(seed, count):
+    """Seeded windows over Q(sqrt 2) and Q(sqrt 5), some with an irrational
+    end, each with a radius."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        d, style = rng.choice([(2, "sqrt"), (5, "sqrt"), (5, "golden")])
+        lo = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+        hi = lo + Fraction(rng.randint(6, 24), rng.randint(3, 6))
+        q = Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if rng.random() < 0.3 else 0
+        window = {"lo": {"p": str(lo), "q": str(q)}, "hi": {"p": str(hi), "q": str(q)}}
+        cases.append(({"d": d, "omega": style, "window": window}, rng.choice(["40", "150", "301/2"])))
+    return cases
+
+
+# (spec, radius, kind): seeded windows, a non-generic window (which adds
+# "warning" and "suggested_shift"), patches of one point and of none
+# (no "legend"), and the far window, whose every "value" is null.
+GENERATE_ORACLE_CASES = [
+    *((spec, radius, "seeded") for spec, radius in seeded_window_specs(18, 8)),
+    ({"d": 5, "omega": "golden", "window": {"lo": "0", "hi": "1"}}, "200", "nongeneric"),
+    ({"d": 5, "omega": "golden", "window": {"lo": "-1/2", "hi": "1/2"}}, "1/10", "few"),
+    (FIB_SPEC, "1/2", "few"),
+    (far_window_spec(), "20", "far"),
+]
+
+
+@pytest.mark.parametrize("spec, radius, kind", GENERATE_ORACLE_CASES)
+def test_generate_matches_json_dumps_of_point_dicts(files, capsys, spec, radius, kind):
+    path = files("spec.json", spec)
+    assert cli.main(["modelset", "--spec", path, "-R", radius]) == 0
+    out = capsys.readouterr().out
+    # Lines, not one string: pytest's diff of two long strings takes minutes.
+    assert out.splitlines(keepends=True) == generate_oracle(path, radius).splitlines(keepends=True)
+    data = json.loads(out)
+    values = [p["value"] for p in data["points"]]
+    if kind == "few":
+        assert len(values) < 2 and "legend" not in data
+    elif kind == "far":
+        assert values and all(v is None for v in values)
+    else:
+        assert any(v.startswith("-") for v in values) and any(v[0] != "-" for v in values)
+    if kind == "nongeneric":
+        assert "warning" in data and "suggested_shift" in data
 
 
 SPEC_ARGV = ["modelset", "--spec"]
@@ -757,6 +842,48 @@ def test_modelset_radius_past_the_patch_cap_exits_2(files):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith(f"error: radius R = {10**400} ")
     assert "more than 250000 points" in proc.stderr and "MAX_PATCH_POINTS" in proc.stderr
+
+
+def test_generate_past_the_byte_cap_exits_2_before_the_walk(files, capsys, monkeypatch):
+    # The far window at R = 270000 expects about 241000 points, under
+    # MAX_PATCH_POINTS, but each has 418-digit m and n: under a 400 MB
+    # address-space limit it died with a MemoryError traceback and exit 1.
+    # The radius is now refused from the window and R alone.
+    def walk(*args):
+        raise AssertionError("the patch was walked")
+
+    monkeypatch.setattr(modelset, "enumerate_patch", walk)
+    spec = files("far.json", far_window_spec())
+    assert cli.main(["modelset", "--spec", spec, "--action", "generate", "-R", "270000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: radius R = 270000 expects more than 50000000 bytes")
+    assert "MAX_GENERATE_BYTES" in err
+
+
+@pytest.mark.parametrize(
+    "spec, radius",
+    [(FIB_SPEC, "2000"), (DIGEST_WINDOWS["sqrt2"], "2000"), (far_window_spec(), "20")]
+    + seeded_window_specs(18, 8),
+)
+def test_point_bytes_bound_each_point(files, spec, radius):
+    # Each point's text, with the comma before it, is at most the bound
+    # the byte cap multiplies by the expected count, and not far below.
+    field, window, R = cli._load_modelset_spec(files("spec.json", spec), radius)
+    patch = modelset.enumerate_patch(field, window, R)
+    lengths = [len("," + item) for item in cli._Points(patch.coords, float(field.omega())).json_items("\n    ")]
+    bound = cli._point_bytes(field, window, R)
+    assert bound - 30 < max(lengths) <= bound
+
+
+def test_byte_cap_leaves_room_for_the_corpus(files):
+    # Every digest case and the benchmark's generate at R = 10000 stay
+    # far below MAX_GENERATE_BYTES.
+    cases = [(w, "2000") for w in DIGEST_WINDOWS.values()]
+    cases += [(FIB_SPEC, "10000"), (DIGEST_WINDOWS["sqrt2"], "10000")]
+    for spec, radius in cases:
+        field, window, R = cli._load_modelset_spec(files("spec.json", spec), radius)
+        text = modelset.expected_count(field, window, R) * cli._point_bytes(field, window, R)
+        assert text * 20 < cli.MAX_GENERATE_BYTES
 
 
 def run_limited(argv, timeout=60):
