@@ -25,7 +25,6 @@ from .substitution import (
     cover_words,
     complexity,
     fibonacci_rule,
-    induced_substitute,
     is_primitive,
     matrix,
     rule_from_dict,

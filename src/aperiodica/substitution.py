@@ -1,10 +1,9 @@
 """Primitive substitution rules, fixed points and factor atlases.
 
-The two atlas constructions, one closing a single legal word under the
-substitution induced on length-N windows and one collecting the factors
-of a growing fixed-point prefix, are two routes to the same set and are
-cross-checked in the test suite.  Exclusion and the Rudin-Shapiro table
-read all lengths up to N off a few cover words with the same factors.
+A few cover words hold exactly the fixed point's factors of each length
+up to N: exclusion, the Rudin-Shapiro table and the induction atlas read
+them.  The window atlas collects the factors of a growing fixed-point
+prefix instead; the test suite cross-checks both routes.
 """
 
 from __future__ import annotations
@@ -17,6 +16,9 @@ DEFAULT_MAX_PREFIX = 1 << 20
 # Letters held at once by cover words: at a few tens of bytes a letter,
 # words and Manacher's radii stay within 400 MB.
 MAX_COVER_LETTERS = 4_000_000
+# Letters in the words of one atlas: ``atlas --method both`` holds two
+# atlases and their text, about 20 bytes a letter, within 400 MB.
+MAX_ATLAS_LETTERS = 15_000_000
 
 
 class NotPrimitiveError(ValueError):
@@ -187,64 +189,44 @@ class FixedPointStream:
         return tuple(buf[:n])
 
 
-def induced_substitute(rule, w):
-    """Length-N windows read off the image of a length-N word.
-
-    With m the image length of the first letter of ``w``, the windows at
-    offsets 0..m-1 of ``rule(w)`` are returned; later offsets would
-    re-count windows produced by the remaining letters of ``w``.  Those
-    windows read only the first m + N - 1 letters of the image, so letter
-    images are joined only until that many are there.
-    """
-    if not w:
-        raise ValueError("induced substitution needs a nonempty word")
-    images = rule.images
-    n, m = len(w), len(images[w[0]])
-    letters = []
-    for a in w:
-        letters += images[a]
-        if len(letters) >= m + n - 1:
-            break
-    full = tuple(letters)
-    return [full[i : i + n] for i in range(m)]
-
-
 def atlas_by_induction(rule, n):
     """Length-n atlas, the frozenset of the fixed point's length-n
-    factors: the closure of its length-n prefix under the induced map,
-    after checking that the rule is primitive.
-
-    Applied k times to a legal word w, the induced map yields every
-    length-n window of sigma^k(w) that starts inside sigma^k(w[0]); for a
-    primitive rule and large k that stretch holds every legal word, so
-    the closure is the whole length-n language.
+    factors: the distinct length-n windows of :func:`cover_words`.
+    ValueError, before any window is built, when the atlas would hold
+    more than ``MAX_ATLAS_LETTERS`` letters.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    require_primitive(rule)
-    start = FixedPointStream(rule).prefix(n)
-    words = {start}
-    todo = [start]
-    while todo:
-        for v in induced_substitute(rule, todo.pop()):
-            if v not in words:
-                words.add(v)
-                todo.append(v)
-    return frozenset(words)
+    covers = cover_words(rule, n)
+    _distinct_windows(covers, n)
+    return frozenset({w[i : i + n] for w in covers for i in range(len(w) - n + 1)})
 
 
-def _ngrams(word, n):
-    return {word[i : i + n] for i in range(len(word) - n + 1)}
+def _distinct_windows(words, n):
+    """The distinct length-n windows of ``words`` as strings, an eighth of
+    the room of tuples on up to 256 letters.  ValueError as soon as they
+    would hold more than ``MAX_ATLAS_LETTERS`` letters as tuples."""
+    found = set()
+    for w in words:
+        text = "".join(map(chr, w))
+        for i in range(len(text) - n + 1):
+            found.add(text[i : i + n])
+            if n * len(found) > MAX_ATLAS_LETTERS:
+                raise ValueError(
+                    f"the length-{n} atlas would hold more than "
+                    f"MAX_ATLAS_LETTERS = {MAX_ATLAS_LETTERS} letters"
+                )
+    return found
 
 
 def atlas_by_window(rule, n):
-    """Length-n atlas by collecting factors of a growing fixed-point prefix.
+    """Length-n atlas by collecting factors of a doubling fixed-point prefix.
 
-    The prefix doubles until its factor set is closed under the induced
-    map.  A nonempty closed set of legal words holds the closure of each
-    of its members, which is the whole language, so the stop is exact
-    and needs no a-priori repetitivity constant.  A prefix that would
-    grow past ``DEFAULT_MAX_PREFIX`` letters raises ValueError.
+    The prefix stops growing once every length-n window of its image is
+    among its factors.  The image is legal and holds the windows that the
+    substitution induces on each factor, so the factor set is then closed
+    under that induced map, and a nonempty closed set of legal words is
+    the whole language: the stop is exact.  ValueError, before any window
+    is built as a tuple, when the prefix would pass ``DEFAULT_MAX_PREFIX``
+    letters or its factors ``MAX_ATLAS_LETTERS``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -252,9 +234,11 @@ def atlas_by_window(rule, n):
     stream = FixedPointStream(rule)
     length = max(64, 4 * n)
     while length <= DEFAULT_MAX_PREFIX:
-        factors = _ngrams(stream.prefix(length), n)
-        if all(v in factors for w in factors for v in induced_substitute(rule, w)):
-            return frozenset(factors)
+        prefix = stream.prefix(length)
+        factors = _distinct_windows([prefix], n)
+        image = "".join(map(chr, apply(rule, prefix)))
+        if all(image[i : i + n] in factors for i in range(len(image) - n + 1)):
+            return frozenset({prefix[i : i + n] for i in range(length - n + 1)})
         length *= 2
     raise ValueError(
         f"factor set of length {n} did not close within the prefix cap {DEFAULT_MAX_PREFIX}"
@@ -273,23 +257,38 @@ def cover_words(rule, n):
     of sigma^j(u) followed by the first n - 1 of sigma^j(v).  A window of
     length <= n cannot hold a whole block sigma^j(x) and a letter on each
     side, so it lies in one block or across one junction.
+    The legal two-letter words are those inside the images, closed under
+    the junction of the images of a legal uv: a two-letter factor of
+    sigma^(k+1)(x) lies in some sigma(y) or across sigma(y) sigma(z) with
+    yz a factor of sigma^k(x).
 
     ValueError, decided from the image lengths before any word is built,
     when the words would hold more than ``MAX_COVER_LETTERS`` letters.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    pairs = sorted(atlas_by_induction(rule, 2))
-    j, lengths = 0, [1] * len(rule.images)
+    require_primitive(rule)
+    resolve_seed_and_power(rule)  # refuses a -> a, whose blocks never grow
+    images = rule.images
+    pairs = {img[i : i + 2] for img in images for i in range(len(img) - 1)}
+    todo = list(pairs)
+    while todo:
+        u, v = todo.pop()
+        uv = images[u][-1], images[v][0]
+        if uv not in pairs:
+            pairs.add(uv)
+            todo.append(uv)
+    pairs = sorted(pairs)
+    j, lengths = 0, [1] * len(images)
     while min(lengths) < n - 1:
-        j, lengths = j + 1, [sum(lengths[b] for b in img) for img in rule.images]
+        j, lengths = j + 1, [sum(lengths[b] for b in img) for img in images]
     held = sum(lengths) + (2 * n - 2) * len(pairs)
     if held > MAX_COVER_LETTERS:
         raise ValueError(
             f"length {n} would hold {held} letters of cover words, "
             f"past the cap MAX_COVER_LETTERS = {MAX_COVER_LETTERS}"
         )
-    blocks = [(x,) for x in range(len(rule.images))]
+    blocks = [(x,) for x in range(len(images))]
     for _ in range(j):
         blocks = [apply(rule, w) for w in blocks]
     return blocks + [blocks[u][len(blocks[u]) - n + 1 :] + blocks[v][: n - 1] for u, v in pairs]

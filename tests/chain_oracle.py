@@ -1,17 +1,63 @@
-"""The atlas chain: a tests-only oracle for exclusion and Table 1.
+"""The atlas chain: a tests-only oracle for atlases, exclusion and Table 1.
 
-The chain of atlases for lengths 1..n_max is one closure at n_max plus
-prefix sets: every factor of the one-sided fixed point extends to the
-right, so it is the prefix of a longer factor.  The package reads the
-same verdicts and counts off cover words; these helpers build every
-factor set explicitly and scan it, which keeps them independent of that
-route.
+The length-N language is the closure of one legal word under the
+substitution induced on length-N windows, and the chain of atlases for
+lengths 1..n_max is one closure at n_max plus prefix sets: every factor
+of the one-sided fixed point extends to the right, so it is the prefix
+of a longer factor.  The package reads the same atlases, verdicts and
+counts off cover words; these helpers build every factor set by the
+closure and scan it, which keeps them independent of that route.
 """
 
 from aperiodica import words
 from aperiodica.rudin_shapiro import phi, quaternary_rule
-from aperiodica.substitution import atlas_by_induction
+from aperiodica.substitution import FixedPointStream, require_primitive
 from aperiodica.words import EXCLUDED, UNDETERMINED, PalindromeVerdict
+
+
+def induced_substitute(rule, w):
+    """Length-N windows read off the image of a length-N word.
+
+    With m the image length of the first letter of ``w``, the windows at
+    offsets 0..m-1 of ``rule(w)`` are returned; later offsets would
+    re-count windows produced by the remaining letters of ``w``.  Those
+    windows read only the first m + N - 1 letters of the image, so letter
+    images are joined only until that many are there.
+    """
+    if not w:
+        raise ValueError("induced substitution needs a nonempty word")
+    images = rule.images
+    n, m = len(w), len(images[w[0]])
+    letters = []
+    for a in w:
+        letters += images[a]
+        if len(letters) >= m + n - 1:
+            break
+    full = tuple(letters)
+    return [full[i : i + n] for i in range(m)]
+
+
+def closure(rule, n):
+    """Length-n atlas as the closure of the fixed point's length-n prefix
+    under the induced map, after checking that the rule is primitive.
+
+    Applied k times to a legal word w, the induced map yields every
+    length-n window of sigma^k(w) that starts inside sigma^k(w[0]); for a
+    primitive rule and large k that stretch holds every legal word, so
+    the closure is the whole length-n language.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    require_primitive(rule)
+    start = FixedPointStream(rule).prefix(n)
+    found = {start}
+    todo = [start]
+    while todo:
+        for v in induced_substitute(rule, todo.pop()):
+            if v not in found:
+                found.add(v)
+                todo.append(v)
+    return frozenset(found)
 
 
 def prefix_chain(top):
@@ -29,7 +75,7 @@ def prefix_chain(top):
 def atlas_chain(rule, n_max):
     """Atlases for every length 1..n_max (index 0 holds length 1): the
     closure at n_max and its prefix sets (see :func:`prefix_chain`)."""
-    return prefix_chain(atlas_by_induction(rule, n_max))
+    return prefix_chain(closure(rule, n_max))
 
 
 def phi_atlas(atlas):
@@ -40,7 +86,7 @@ def phi_atlas(atlas):
 def binary_atlas(n):
     """Length-n factors of the binary sequence, as the phi image of the
     quaternary atlas."""
-    return phi_atlas(atlas_by_induction(quaternary_rule(), n))
+    return phi_atlas(closure(quaternary_rule(), n))
 
 
 def chain_verdict(chain):

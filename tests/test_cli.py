@@ -909,6 +909,39 @@ def test_exclude_reaches_length_2000_under_400_mb(files, tmp_path):
     assert data["lengths_with_palindromes"] == list(range(1, 2001))
 
 
+@pytest.mark.parametrize(
+    "n, method, code", [(20000, "induction", 2), (5000, "both", 2), (3000, "both", 0)]
+)
+def test_atlas_under_400_mb(files, tmp_path, n, method, code):
+    # Both atlases were built without a bound: under a 400 MB address-space
+    # limit N = 20000 and N = 5000 --method both died with a MemoryError
+    # traceback and exit 1.  They are now refused before any factor is
+    # built as a tuple, while N = 3000 --method both (about 190 MiB) runs.
+    rule, out = files("fib.json", FIB_RULE), tmp_path / "out.json"
+    proc = run_limited(["atlas", "--rule", rule, "-N", str(n), "--method", method, "-o", str(out)])
+    assert proc.returncode == code, proc.stderr
+    if code == 2:
+        cap = f"MAX_ATLAS_LETTERS = {substitution.MAX_ATLAS_LETTERS}"
+        assert proc.stderr == f"error: the length-{n} atlas would hold more than {cap} letters\n"
+    else:
+        data = json.loads(out.read_text())
+        assert data["count"] == n + 1 and data["methods_agree"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["exclude", "--nmax", "5"]]
+    + [["atlas", "-N", "5", "--method", method] for method in ("induction", "window", "both")],
+)
+def test_one_letter_rule_exits_2(files, argv):
+    # a -> a is primitive but has no growing fixed point; without the
+    # seed check the cover words' block lengths never reach N - 1.
+    rule = files("one.json", {"alphabet": ["a"], "images": {"a": "a"}})
+    proc = run_limited(argv + ["--rule", rule], timeout=20)
+    assert proc.returncode == 2, proc.stderr
+    assert "no seed/power pair" in proc.stderr
+
+
 @pytest.mark.parametrize("n_max", [400, 612, 708, 1500])
 def test_rs_table_under_400_mb_exits_0(tmp_path, n_max):
     # The atlas chain died at 400 with a MemoryError and exit 1; a cap on

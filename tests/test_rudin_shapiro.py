@@ -13,9 +13,8 @@ from aperiodica.rudin_shapiro import (
     rs_binary_prefix,
     table1,
 )
-from aperiodica.substitution import atlas_by_induction
 from aperiodica.words import EXCLUDED
-from chain_oracle import atlas_chain, binary_atlas, chain_verdict, phi_atlas, prefix_chain
+from chain_oracle import atlas_chain, binary_atlas, chain_verdict, closure, phi_atlas, prefix_chain
 
 
 def test_block_count_examples():
@@ -94,7 +93,7 @@ def test_counts_agree_from_length_eight_on():
 
 def palindrome_verdicts(n_max):
     """Exclusion verdicts (quaternary, binary) from one closure per length."""
-    quaternary = [atlas_by_induction(quaternary_rule(), n) for n in range(1, n_max + 1)]
+    quaternary = [closure(quaternary_rule(), n) for n in range(1, n_max + 1)]
     binary = [binary_atlas(n) for n in range(1, n_max + 1)]
     return chain_verdict(quaternary), chain_verdict(binary)
 

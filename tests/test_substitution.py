@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from chain_oracle import atlas_chain
+import chain_oracle
+from chain_oracle import atlas_chain, closure, induced_substitute
 from conftest import brute_factors, expanded_word
 from aperiodica import substitution
 from aperiodica.rudin_shapiro import quaternary_rule
@@ -16,7 +17,6 @@ from aperiodica.substitution import (
     complexity,
     cover_words,
     fibonacci_rule,
-    induced_substitute,
     is_primitive,
     matrix,
     matrix_multiply,
@@ -217,14 +217,41 @@ def random_primitive_rules(count, seed):
     return rules
 
 
-def test_atlas_matches_brute_force_factors():
+def first_closed_prefix(rule, n):
+    """Length of the first doubling prefix whose length-n factors are
+    closed under the oracle's induced map."""
+    length = max(64, 4 * n)
+    while True:
+        word = FixedPointStream(rule).prefix(length)
+        factors = set(zip(*(word[j:] for j in range(n))))
+        if all(v in factors for w in factors for v in induced_substitute(rule, w)):
+            return length
+        length *= 2
+
+
+def test_atlas_matches_brute_force_factors(monkeypatch):
+    requested = []
+    prefix = FixedPointStream.prefix
+
+    def recorded(self, length):
+        requested.append(length)
+        return prefix(self, length)
+
+    monkeypatch.setattr(FixedPointStream, "prefix", recorded)
     cases = [(fibonacci_rule(), 6), (thue_morse_rule(), 6), (quaternary_rule(), 5)]
     cases += [(rule, 8) for rule in random_primitive_rules(40, 3)]
     for rule, n in cases:
+        # The junction closure's two-letter words; Fibonacci needs two
+        # rounds of it (ab -> ba -> aa).
+        assert {w for w in cover_words(rule, 2) if len(w) == 2} == closure(rule, 2)
         seed, _ = resolve_seed_and_power(rule)
         expected = brute_factors(rule, seed, n, min_length=20000)
         assert atlas_by_induction(rule, n) == expected
+        requested.clear()
         assert atlas_by_window(rule, n) == expected
+        # The window method stops where the induced-map test stopped.
+        stop = max(requested)
+        assert stop == first_closed_prefix(rule, n)
         chain = atlas_chain(rule, n)
         assert [{len(w) for w in a} for a in chain] == [{k} for k in range(1, n + 1)]
         word = expanded_word(rule, seed, 20000)
@@ -273,13 +300,13 @@ def test_chain_runs_the_induced_map_once_per_top_word(monkeypatch):
     # One closure at n_max: one induced-map call per word of the top
     # atlas and none for the shorter lengths, which are prefix sets.
     calls = []
-    original = substitution.induced_substitute
+    original = chain_oracle.induced_substitute
 
     def counted(rule, w):
         calls.append(len(w))
         return original(rule, w)
 
-    monkeypatch.setattr(substitution, "induced_substitute", counted)
+    monkeypatch.setattr(chain_oracle, "induced_substitute", counted)
     chain = atlas_chain(quaternary_rule(), 40)
     assert len(calls) == len(chain[-1])
     assert set(calls) == {40}
@@ -316,6 +343,17 @@ def test_window_method_prefix_cap(monkeypatch):
     monkeypatch.setattr(substitution, "DEFAULT_MAX_PREFIX", 128)
     with pytest.raises(ValueError, match="did not close within the prefix cap 128"):
         atlas_by_window(quaternary_rule(), 10)
+
+
+def test_atlas_letter_cap_counts_the_distinct_factors(monkeypatch):
+    # Fibonacci has 11 factors of length 10: 110 letters as an atlas.
+    monkeypatch.setattr(substitution, "MAX_ATLAS_LETTERS", 110)
+    for build in (atlas_by_induction, atlas_by_window):
+        assert len(build(fibonacci_rule(), 10)) == 11
+    monkeypatch.setattr(substitution, "MAX_ATLAS_LETTERS", 109)
+    for build in (atlas_by_induction, atlas_by_window):
+        with pytest.raises(ValueError, match="would hold more than MAX_ATLAS_LETTERS = 109 "):
+            build(fibonacci_rule(), 10)
 
 
 def test_atlas_is_the_frozenset_of_its_words():
