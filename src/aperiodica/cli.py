@@ -7,11 +7,12 @@ non-primitive rule, method disagreement), 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
+import re
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _json_string
 
 from . import modelset, rudin_shapiro, spectral, substitution, words
 
@@ -23,62 +24,8 @@ def _positive_int(text):
     return value
 
 
-class _KeyPrefixes(dict):
-    """The ``"key": `` text of each key, made on first use."""
-
-    def __missing__(self, key):
-        text = self[key] = _json_string(key) + ": "
-        return text
-
-
 def _json_text(payload):
-    """``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)``
-    and a newline, byte for byte, for payloads with string keys.
-
-    Below CPython 3.13 ``json.dumps`` with an indent runs its pure-Python
-    encoder, one generator step per token, which took longer than the
-    patch itself on a ``generate`` payload.  This renderer joins each
-    container's parts once and memoises the ``"key": `` prefixes for the
-    call.  A non-finite float raises ValueError, as with allow_nan=False.
-    A value with a ``json_items(indent)`` method is an array that renders
-    its own items, given the newline and indentation they start on:
-    ``_Points``, the lattice points of a ``generate`` payload.
-    """
-    prefixes = _KeyPrefixes()
-
-    def render(value, indent):
-        if isinstance(value, str):
-            return _json_string(value)
-        if isinstance(value, int):
-            return "true" if value is True else "false" if value is False else int.__repr__(value)
-        if isinstance(value, float):
-            if not math.isfinite(value):
-                raise ValueError(f"out of range float values are not JSON compliant: {value!r}")
-            return float.__repr__(value)
-        if value is None:
-            return "null"
-        inner = indent + "  "
-        parts = []
-        # Loops, not comprehensions: before 3.12 each comprehension is a call.
-        if isinstance(value, dict):
-            for k, v in sorted(value.items()):
-                parts.append(prefixes[k] + render(v, inner))
-            brackets = "{}"
-        elif isinstance(value, (list, tuple)):
-            for v in value:
-                parts.append(render(v, inner))
-            brackets = "[]"
-        elif hasattr(value, "json_items"):
-            parts, brackets = value.json_items(inner), "[]"
-        else:
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        if not parts:
-            return brackets
-        parts[0] = brackets[0] + inner + parts[0]
-        parts[-1] += indent + brackets[1]
-        return ("," + inner).join(parts)
-
-    return render(payload, "\n") + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _f15(x):
@@ -154,24 +101,16 @@ def cmd_exclude(args):
     return 0
 
 
-def _table_tsv(rows):
-    lines = ["n\tcount4\tpal4\tcount2\tpal2"]
-    for r in rows:
-        lines.append(f"{r.n}\t{r.count4}\t{r.pal4}\t{r.count2}\t{r.pal2}")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_rs_table(args):
     rows, (verdict4, verdict2) = rudin_shapiro.table1(args.nmax)
+    columns = [field.name for field in dataclasses.fields(rudin_shapiro.Table1Row)]
     if args.format == "tsv":
-        text = _table_tsv(rows)
+        lines = ["\t".join(columns)] + ["\t".join(map(str, dataclasses.astuple(r))) for r in rows]
+        text = "\n".join(lines) + "\n"
     else:
         text = _json_text(
             {
-                "rows": [
-                    {"n": r.n, "count4": r.count4, "pal4": r.pal4, "count2": r.count2, "pal2": r.pal2}
-                    for r in rows
-                ],
+                "rows": [dataclasses.asdict(r) for r in rows],
                 "exclusion_verdicts": {
                     "quaternary": _verdict_payload(verdict4),
                     "binary": _verdict_payload(verdict2),
@@ -184,7 +123,7 @@ def cmd_rs_table(args):
         depth = min(len(rows), len(golden))
         bad = []
         for computed, expected in zip(rows[:depth], golden[:depth]):
-            for cell in ("n", "count4", "pal4", "count2", "pal2"):
+            for cell in columns:
                 got, want = getattr(computed, cell), getattr(expected, cell)
                 if got != want:
                     bad.append(f"row {expected.n} {cell}: got {got!r}, expected {want!r}")
@@ -196,11 +135,40 @@ def cmd_rs_table(args):
     return 0
 
 
+# The most digits a number may have: CPython's default limit on
+# converting between int and decimal text.
+MAX_NUMBER_DIGITS = 4300
+# The text Fraction reads, underscores removed: the digits before and
+# after the point, and an exponent or a denominator.
+_NUMBER = re.compile(r"\s*[-+]?(\d*)(?:\.(\d*))?(?:[eE]([-+]?\d+)|/(\d+))?\s*")
+
+
+def _too_long(text):
+    """Whether Fraction(text) would read a digit string, or build a
+    numerator or a denominator before reducing, of more than
+    MAX_NUMBER_DIGITS digits: decided from the digits written and the
+    exponent, before any power of ten is built."""
+    match = _NUMBER.fullmatch(text.replace("_", ""))
+    if match is None:
+        return False
+    whole, point, exponent, denominator = match.groups(default="")
+    if max(len(whole), len(point), len(exponent), len(denominator)) > MAX_NUMBER_DIGITS:
+        return True
+    digits = (whole + point).lstrip("0")
+    significant = digits.rstrip("0")
+    shift = int(exponent or 0) - len(point) + len(digits) - len(significant)
+    return len(significant) + max(shift, 0) > MAX_NUMBER_DIGITS or -shift >= MAX_NUMBER_DIGITS
+
+
 def _fraction(raw):
     """Fraction(raw), with a ValueError for every value it cannot read.
-    JSON floats are refused: a binary float is not the decimal written."""
+    JSON floats are refused: a binary float is not the decimal written.
+    So is a number of more than MAX_NUMBER_DIGITS digits, whose powers
+    of ten could take minutes to build."""
     if isinstance(raw, (bool, float)):
         raise ValueError(f"bad number {raw!r}: use an integer or 'p/q'")
+    if isinstance(raw, str) and _too_long(raw):
+        raise ValueError(f"bad number {raw!r}: more than {MAX_NUMBER_DIGITS} digits")
     try:
         return Fraction(raw)
     except (TypeError, OverflowError, ZeroDivisionError):
@@ -238,21 +206,26 @@ def _lattice_value(m, n, omega):
     return format(value, ".15g") if math.isfinite(value) else None
 
 
-class _Points:
-    """The ``points`` array of a ``generate`` payload, whose items render
-    themselves: one format string a point, with no dict per point."""
+def _generate_text(payload, coords, omega):
+    """The JSON text of a ``generate`` payload with ``coords`` written as
+    the items of its empty ``"points"`` list, one format string a point.
 
-    def __init__(self, coords, omega):
-        self.coords, self.omega = coords, omega
-
-    def json_items(self, indent):
-        key, omega = indent + "  ", self.omega
-        items = []
-        for m, n in self.coords:
-            value = _lattice_value(m, n, omega)
-            value = "null" if value is None else f'"{value}"'
-            items.append(f'{{{key}"m": {m},{key}"n": {n},{key}"value": {value}{indent}}}')
-        return items
+    Below CPython 3.13 ``json.dumps`` with an indent encodes in Python,
+    one step a token, and the points are nearly all of the text.  The
+    keys sort as R, count, d, legend, omega, points, so the first
+    ``"points": []`` of the text is that list.
+    """
+    head, empty, tail = _json_text(payload).partition('"points": []')
+    items = []
+    for m, n in coords:
+        value = _lattice_value(m, n, omega)
+        value = "null" if value is None else f'"{value}"'
+        items.append(f'{{\n      "m": {m},\n      "n": {n},\n      "value": {value}\n    }}')
+    if not items:
+        return head + empty + tail
+    items[0] = head + '"points": [\n    ' + items[0]
+    items[-1] += "\n  ]" + tail
+    return ",\n    ".join(items)
 
 
 # The points text of a generate payload is held about twice over while
@@ -309,14 +282,16 @@ def cmd_modelset(args):
     omega = float(field.omega())
     if args.action == "generate":
         payload["count"] = len(patch)
-        payload["points"] = _Points(patch.coords, omega)
+        payload["points"] = []
         if len(patch) >= 2:
             payload["legend"] = [
                 {"letter": letter, "m": m, "n": n, "value": _lattice_value(m, n, omega)}
                 for letter, (m, n) in zip(_GAP_NAMES, patch.gap_coords)
             ]
             payload["sequence"] = "".join(map(_GAP_NAMES.__getitem__, patch.letters))
-    elif args.action == "symmetry":
+        _emit(_generate_text(payload, patch.coords, omega), args.output)
+        return 0
+    if args.action == "symmetry":
         witness = modelset.inversion_witness(window, field)
         payload["count"] = len(patch)
         payload["centro_symmetry_center"] = str(modelset.centro_symmetry_center(window))

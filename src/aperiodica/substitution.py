@@ -247,7 +247,7 @@ def atlas_by_window(rule, n):
 
 def complexity(rule, n):
     """Number of distinct length-n factors of the fixed point."""
-    return len(atlas_by_induction(rule, n))
+    return len(_distinct_windows(cover_words(rule, n), n))
 
 
 def cover_words(rule, n):

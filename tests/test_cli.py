@@ -844,6 +844,21 @@ def test_modelset_radius_past_the_patch_cap_exits_2(files):
     assert "more than 250000 points" in proc.stderr and "MAX_PATCH_POINTS" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "radius, lo", [("1e99999999", "1/3"), ("1e-99999999", "1/3"), ("20", "1e99999999"), ("1e5000", "1/3")]
+)
+def test_number_past_the_digit_limit_exits_2_before_expanding(files, radius, lo):
+    # Fraction builds the power of ten an exponent names: 1e10000000 took
+    # 9.5 s to read and 1e99999999 ran past 300 s, while 1e5000 exited 2
+    # with the int-to-text limit's message, which names no number.
+    spec = files("spec.json", dict(FIB_SPEC, window={"lo": lo, "hi": "4/3"}))
+    argv = ["modelset", "--spec", spec, "--action", "symmetry", "-R", radius]
+    proc = run_python("-m", "aperiodica.cli", *argv, timeout=10)
+    assert proc.returncode == 2, proc.stderr
+    number = radius if lo == "1/3" else lo
+    assert proc.stderr == f"error: bad number {number!r}: more than 4300 digits\n"
+
+
 def test_generate_past_the_byte_cap_exits_2_before_the_walk(files, capsys, monkeypatch):
     # The far window at R = 270000 expects about 241000 points, under
     # MAX_PATCH_POINTS, but each has 418-digit m and n: under a 400 MB
@@ -870,7 +885,8 @@ def test_point_bytes_bound_each_point(files, spec, radius):
     # the byte cap multiplies by the expected count, and not far below.
     field, window, R = cli._load_modelset_spec(files("spec.json", spec), radius)
     patch = modelset.enumerate_patch(field, window, R)
-    lengths = [len("," + item) for item in cli._Points(patch.coords, float(field.omega())).json_items("\n    ")]
+    text = cli._generate_text({"points": []}, patch.coords, float(field.omega()))
+    lengths = [len("," + item) for item in re.findall(r"\{[^{}]*\}", text)]
     bound = cli._point_bytes(field, window, R)
     assert bound - 30 < max(lengths) <= bound
 
