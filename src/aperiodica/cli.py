@@ -46,10 +46,17 @@ def _json_object(value, what):
     return value
 
 
+def _json_int(text):
+    # CPython's own refusal past 4300 digits names neither number nor file.
+    if _too_long(text):
+        raise ValueError(f"bad number {text}: more than {MAX_NUMBER_DIGITS} digits")
+    return int(text)
+
+
 def _load_json(path):
     # Bytes, so that json.load detects UTF-8, -16 or -32 whatever the locale.
     with open(path, "rb") as fh:
-        return _json_object(json.load(fh), f"file {path}")
+        return _json_object(json.load(fh, parse_int=_json_int), f"file {path}")
 
 
 def _load_rule(path):

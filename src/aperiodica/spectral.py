@@ -3,9 +3,9 @@
 The operator acts as (L u)_n = u_{n+1} + u_{n-1} + x_n u_n with a
 potential x taking finitely many pairwise different values.  Finite
 sections cannot certify the spectral type of the infinite operator;
-everything here is a finite-size observable: eigenvalues by Sturm
-counting with safeguarded Newton steps, the integrated density of
-states, and transfer matrix products with overflow-safe renormalization.
+everything here is a finite-size observable: eigenvalues certified by
+Sturm counts, the integrated density of states, and transfer matrix
+products with overflow-safe renormalization.
 A minimal potential has few distinct factors (n + 1 of length n if
 Sturmian, 8n - 8 for Rudin-Shapiro), so a transfer product builds each
 distinct aligned 32-letter block once and applies it by one 2x2 multiply.
@@ -71,18 +71,29 @@ def build_finite(potential, values, coupling, boundary=BOUNDARY_DIRICHLET):
     return TridiagonalOperator(tuple(diag))
 
 
-def sturm_count(op, x):
+def sturm_count(op, x, slope=True):
     """One pass of the leading-principal-minor recursion at x.
 
     Returns ``(count, slope)``: the number of pivots q_i = (a_i - x) -
     1/q_{i-1} below zero, which is the number of eigenvalues strictly
     below x, and slope = d/dx log|det(T - x)| = sum q_i'/q_i, with
-    q_i' = -1 + q_{i-1}'/q_{i-1}^2 carried in the same loop.
+    q_i' = -1 + q_{i-1}'/q_{i-1}^2 carried in the same loop.  With
+    ``slope=False`` the pass counts only, in about half the time, and
+    returns ``(count, None)``.
     """
     count = 0
-    slope = 0.0
-    dq = 0.0
     r = 0.0  # 1/q of the previous pivot; q = inf before the first, whose pivot is a - x
+    if not slope:
+        for a in op.diagonal:
+            q = (a - x) - r
+            if q < 0.0:
+                count += 1
+            elif q == 0.0:
+                q = 1e-300
+            r = 1.0 / q
+        return count, None
+    total = 0.0
+    dq = 0.0
     for a in op.diagonal:
         dq = dq * r * r - 1.0
         q = (a - x) - r
@@ -91,8 +102,51 @@ def sturm_count(op, x):
         if q < 0.0:
             count += 1
         r = 1.0 / q
-        slope += dq * r
-    return count, slope
+        total += dq * r
+    return count, total
+
+
+def _ql_guesses(diagonal):
+    """All eigenvalues, ascending, from implicit QL sweeps on the squared
+    off-diagonals (the root-free variant of Pal, Walker and Kahan, as in
+    LAPACK's dsterf), each within a few ulps of ||T||; or None if an
+    eigenvalue takes more than 30 sweeps or a value is not finite.
+    """
+    d = list(diagonal)
+    n = len(d)
+    e2 = [1.0] * (n - 1) + [0.0]  # e2[i] couples d[i] and d[i + 1]; 0 ends the matrix
+    try:
+        small = (2.0**-52 * (max(map(abs, d)) + 2.0)) ** 2
+        for l in range(n):
+            for _ in range(30):
+                m = l
+                while e2[m] > small:
+                    m += 1
+                if m == l:
+                    break
+                # Shift: the eigenvalue of the leading 2x2 block nearer d[l].
+                rte = math.sqrt(e2[l])
+                t = (d[l + 1] - d[l]) / (2.0 * rte)
+                sigma = d[l] - rte / (t + math.copysign(math.hypot(t, 1.0), t))
+                c, s = 1.0, 0.0
+                gamma = d[m] - sigma
+                p = gamma * gamma
+                for i in range(m - 1, l - 1, -1):  # s = 0 first: e2[m] is set to 0
+                    bb = e2[i]
+                    r = p + bb
+                    e2[i + 1] = s * r
+                    oldc, c, s = c, p / r, bb / r
+                    a = d[i]
+                    oldgamma, gamma = gamma, c * (a - sigma) - s * gamma
+                    d[i + 1] = oldgamma + (a - gamma)
+                    p = gamma * gamma / c if c else oldc * bb
+                e2[l] = s * p
+                d[l] = sigma + gamma
+            else:
+                return None
+    except (ZeroDivisionError, OverflowError):
+        return None
+    return sorted(d) if all(map(math.isfinite, d)) else None
 
 
 def eigenvalues(op, tol=1e-12):
@@ -101,15 +155,20 @@ def eigenvalues(op, tol=1e-12):
     b adjacent floats however small ``tol`` is.
 
     Every probe's Sturm count is kept, so eigenvalue k starts from the
-    tightest bracket any earlier probe gave.  Inside it, a Newton step
-    on det(T - x), x - 1/slope, is taken from the last probe when the
-    bracket holds only eigenvalue k; the Sturm count says which side of
-    the eigenvalue each probe lies on.  A step that leaves the bracket,
-    is not finite, or is longer than half the previous step is replaced
-    by bisection.  A step shorter than tol/4 is not taken: one probe
-    tol/2 beyond the last point closes the bracket instead.  Newton runs
-    on the determinant rather than on the last pivot because the pivot
-    has a pole at each eigenvalue of the leading minor, which sits
+    tightest bracket any earlier probe gave.  Its QL guess g comes first:
+    count-only probes at g - d and g + d inside the bracket, d = tol/4 and
+    four times as far each round while the bracket is wider than tol and
+    d.  Growing d keeps a guess a few ulps off from pinning one end within
+    ulps of the eigenvalue, where every Newton step would be refused; only
+    counts close a bracket, so a bad guess costs passes, not accuracy.
+    Then a Newton step on det(T - x), x - 1/slope, is taken from the last
+    probe when the bracket holds only eigenvalue k; the Sturm count says
+    which side of the eigenvalue each probe lies on.  A step that leaves
+    the bracket, is not finite, or is longer than half the previous step
+    is replaced by bisection.  A step shorter than tol/4 is not taken: one
+    probe tol/2 beyond the last point closes the bracket instead.  Newton
+    runs on the determinant rather than on the last pivot because the
+    pivot has a pole at each eigenvalue of the leading minor, which sits
     exponentially close to the eigenvalue when its eigenvector is
     localised; the determinant has no poles.
     """
@@ -120,10 +179,23 @@ def eigenvalues(op, tol=1e-12):
     # Every probe so far, ascending, with its Sturm count; the bounds
     # count 0 and n without a pass.
     xs, counts = [lo, hi], [0, op.size]
+    guesses = _ql_guesses(diagonal)
     out = []
     for k in range(op.size):
         j = bisect_right(counts, k)
         a, b = xs[j - 1], xs[j]
+        if guesses:
+            g, d = guesses[k], 0.25 * tol
+            while b - a > tol and d < b - a:
+                for y in (g - d, g + d):
+                    if a < y < b:
+                        c = sturm_count(op, y, slope=False)[0]
+                        j = bisect_right(xs, y)
+                        xs.insert(j, y)
+                        counts.insert(j, c)
+                        a, b = (y, b) if c <= k else (a, y)
+                d *= 4.0
+            j = bisect_right(counts, k)
         isolated = counts[j] - counts[j - 1] == 1
         x, slope = a, None  # no slope yet: the first probe bisects
         while b - a > tol:

@@ -105,9 +105,11 @@ EXCLUSION_CASES += [
 ]
 EXCLUSION_DIGESTS = Path(__file__).parent / "data" / "exclusion_digests.json"
 # Spectrum runs whose CLI output is pinned by sha256 digests in
-# data/spectrum_digests.json: the free operator, Fibonacci and
+# data/spectrum_digests_seeded.json: the free operator, Fibonacci and
 # four-letter Rudin-Shapiro potentials, the TSV format, the Neumann
-# boundary and a potential spanning 300 orders of magnitude.
+# boundary and a potential spanning 300 orders of magnitude.  The
+# solve's Newton loop alone, without QL guesses, gives the bytes of
+# data/spectrum_digests.json.
 SPECTRUM_RULES = {"fib": FIB_RULE, "rs": RS_RULE}
 SPECTRUM_CASES = [
     (None, ["spectrum", "--size", "100"]),
@@ -117,7 +119,8 @@ SPECTRUM_CASES = [
     ("fib", ["spectrum", "--values", "a=0,b=1", "--size", "60", "--boundary", "neumann"]),
     ("fib", ["spectrum", "--values", "a=-1e300,b=1", "--size", "20"]),
 ]
-SPECTRUM_DIGESTS = Path(__file__).parent / "data" / "spectrum_digests.json"
+SPECTRUM_DIGESTS = Path(__file__).parent / "data" / "spectrum_digests_seeded.json"
+UNSEEDED_SPECTRUM_DIGESTS = Path(__file__).parent / "data" / "spectrum_digests.json"
 
 
 @pytest.fixture
@@ -392,6 +395,13 @@ def spectrum_digest(directory, name, argv):
 
 def test_spectrum_output_bytes_are_pinned(tmp_path):
     want = json.loads(SPECTRUM_DIGESTS.read_text())
+    got = dict(spectrum_digest(tmp_path, name, argv) for name, argv in SPECTRUM_CASES)
+    assert got == want
+
+
+def test_unseeded_spectrum_output_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.setattr(spectral, "_ql_guesses", lambda diagonal: None)
+    want = json.loads(UNSEEDED_SPECTRUM_DIGESTS.read_text())
     got = dict(spectrum_digest(tmp_path, name, argv) for name, argv in SPECTRUM_CASES)
     assert got == want
 
@@ -857,6 +867,22 @@ def test_number_past_the_digit_limit_exits_2_before_expanding(files, radius, lo)
     assert proc.returncode == 2, proc.stderr
     number = radius if lo == "1/3" else lo
     assert proc.stderr == f"error: bad number {number!r}: more than 4300 digits\n"
+
+
+@pytest.mark.parametrize("digits", [4300, 4301, 5001])
+def test_spec_integer_past_the_digit_limit_names_the_number(tmp_path, digits):
+    # A JSON integer past 4300 digits once exited 2 with CPython's
+    # int-to-text message, which names no number.
+    number = "1" + "0" * (digits - 1)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(dict(FIB_SPEC, R=0)).replace('"R": 0', f'"R": {number}'))
+    argv = ["modelset", "--spec", str(spec), "--action", "symmetry"]
+    proc = run_python("-m", "aperiodica.cli", *argv, timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    if digits > 4300:
+        assert proc.stderr == f"error: bad number {number}: more than 4300 digits\n"
+    else:
+        assert "more than 250000 points" in proc.stderr
 
 
 def test_generate_past_the_byte_cap_exits_2_before_the_walk(files, capsys, monkeypatch):

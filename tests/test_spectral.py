@@ -149,9 +149,9 @@ def counting_sturm(monkeypatch):
     passes = [0]
     sturm = spectral.sturm_count
 
-    def counted(op, x):
+    def counted(op, x, **kwargs):
         passes[0] += 1
-        return sturm(op, x)
+        return sturm(op, x, **kwargs)
 
     monkeypatch.setattr(spectral, "sturm_count", counted)
     return passes
@@ -171,6 +171,12 @@ def stress_solves():
     return solves
 
 
+def numpy_eigenvalues(op):
+    n = op.size
+    m = np.diag(op.diagonal) + np.diag([1.0] * (n - 1), 1) + np.diag([1.0] * (n - 1), -1)
+    return np.sort(np.linalg.eigvalsh(m))
+
+
 def test_eigenvalues_keep_their_brackets(stress_solves):
     # Guard on the contract: each returned value is the midpoint of a
     # bracket no wider than tol (or one ulp) holding eigenvalue k.
@@ -188,6 +194,58 @@ def test_stress_solves_need_no_more_passes_than_bisection(stress_solves):
         assert passes <= bisection * op.size, (label, tol, passes / op.size)
 
 
+def test_stress_solves_take_few_passes(stress_solves):
+    # Seeded by the QL guesses, the worst case took 5.3 passes per
+    # eigenvalue (random potential at tol 1e-15); unseeded, 6 to 9.
+    for label, op, tol, _, passes in stress_solves:
+        assert passes <= 7 * op.size, (label, tol, passes / op.size)
+
+
+def test_count_only_pass_matches_the_full_pass():
+    for label, op in stress_operators():
+        eigs = numpy_eigenvalues(op)
+        for x in (*eigs[::37], *(0.5 * (eigs[1:] + eigs[:-1]))[::41], eigs[0] - 1.0):
+            full, slope = sturm_count(op, float(x))
+            assert sturm_count(op, float(x), slope=False) == (full, None), (label, x)
+            assert slope is not None
+
+
+def assert_brackets(label, op, tol, eigs):
+    """Each value is the midpoint of a bracket no wider than tol (or one
+    ulp) holding eigenvalue k."""
+    assert len(eigs) == op.size
+    for k, e in enumerate(eigs):
+        d = max(tol / 2, math.ulp(e))
+        assert sturm_count(op, e - d)[0] <= k < sturm_count(op, e + d)[0], (label, tol, k)
+
+
+@pytest.mark.parametrize("hostile", ["off by 1e-9", "shifted by one", "zeros", "nan"])
+def test_hostile_guesses_keep_brackets(monkeypatch, hostile):
+    # Whatever the QL sweep returns, only Sturm counts close a bracket:
+    # a guess the counts reject falls through to the Newton loop.
+    for label, op in stress_operators():
+        want = numpy_eigenvalues(op)
+        guesses = {
+            "off by 1e-9": [float(w) + 1e-9 for w in want],
+            "shifted by one": [float(w) for w in (*want[1:], want[-1])],
+            "zeros": [0.0] * op.size,
+            "nan": [float(w) for w in want[:-1]] + [math.nan],
+        }[hostile]
+        monkeypatch.setattr(spectral, "_ql_guesses", lambda diagonal: guesses)
+        eigs = eigenvalues(op, tol=1e-12)
+        assert_brackets(label, op, 1e-12, eigs)
+        # numpy's own error grows with ||T||: about 2e-10 on the 1e6 potentials
+        norm = max(map(abs, op.diagonal)) + 2.0
+        assert max(abs(a - b) for a, b in zip(eigs, want)) < 1e-10 * norm, label
+
+
+def test_ql_guesses_on_small_and_overflowing_diagonals():
+    assert spectral._ql_guesses((1e308, -1e308)) is None
+    assert spectral._ql_guesses((2.5,)) == [2.5]
+    got = spectral._ql_guesses((0.0,) * 101)
+    assert max(abs(a - b) for a, b in zip(got, free_eigenvalues(101))) < 1e-14
+
+
 def test_few_sturm_passes_per_eigenvalue(monkeypatch):
     # Bisection from the global bounds took about 41 passes per eigenvalue
     # at this size and tolerance.
@@ -201,6 +259,8 @@ def test_few_sturm_passes_per_eigenvalue(monkeypatch):
         passes[0] = 0
         assert len(eigenvalues(op, tol=1e-12)) == 300
         assert passes[0] <= 12 * 300, passes[0] / 300
+        # Two count-only passes certify each QL guess.
+        assert passes[0] <= 3 * 300, passes[0] / 300
 
 
 def test_eigenvalues_end_on_hostile_slopes():
