@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
+from functools import cached_property, total_ordering
 
 from .words import _manacher
 
@@ -269,24 +270,39 @@ def genericity_shift(window, lattice):
 class ModelSetPatch:
     """The points of the cut-and-project set within [-R, R].
 
-    ``coords`` holds exact (m, n) lattice coordinates in increasing
-    physical position, the order in which ``enumerate_patch`` walks them.
-    ``gap_coords`` holds the distinct steps between consecutive points in
-    increasing order, and ``letters[i]`` is the index in ``gap_coords`` of
-    the step from point i to point i + 1; the walk records both.  A patch
-    is a finite sample: the inversion verdict reads the window alone, and
-    the palindrome and gap readings hold for this patch only.
+    ``first`` is the least point's exact (m, n), or None for an empty
+    patch.  ``gap_coords`` holds the distinct steps between consecutive
+    points in increasing order, and ``letters[i]`` is the index in
+    ``gap_coords`` of the step from point i to point i + 1; the walk
+    records both.  ``coords``, every point's (m, n) in increasing physical
+    position, is built from those on first use, so a reading of the gap
+    word alone never holds the points.  A patch is a finite sample: the
+    inversion verdict reads the window alone, and the palindrome and gap
+    readings hold for this patch only.
     """
 
     lattice: QuadField
     window: Window
     radius: Fraction
-    coords: tuple
+    first: tuple | None
     gap_coords: tuple
     letters: tuple
 
     def __len__(self):
-        return len(self.coords)
+        return 0 if self.first is None else len(self.letters) + 1
+
+    @cached_property
+    def coords(self):
+        if self.first is None:
+            return ()
+        m, n = self.first
+        gm = [g[0] for g in self.gap_coords]
+        gn = [g[1] for g in self.gap_coords]
+        ms = itertools.accumulate(map(gm.__getitem__, self.letters), initial=m)
+        ns = itertools.accumulate(map(gn.__getitem__, self.letters), initial=n)
+        # A list first: tuple() of an iterator of unknown length grows by
+        # repeated resizing, about a third slower here.
+        return tuple(list(zip(ms, ns)))
 
 
 def _floor_scaled(a, b, scale, d):
@@ -339,8 +355,16 @@ def _row_points(lattice, lo, hi, x_lo, x_hi):
 
 
 # A generate payload of this many points peaks near 110 MiB on CPython
-# 3.11; the largest patch the tests build has about 107000 points.
+# 3.11, while palindromes and symmetry, which keep only the gap word,
+# peak near 27 MiB; the largest patch the tests build has about 107000
+# points.
 MAX_PATCH_POINTS = 250_000
+
+# Steps in one block of the walk.  The block table holds at most one block
+# per distinct BLOCK-letter factor of the gap word, and an interval
+# window's gap word codes a rotation or a three-interval exchange, which
+# has at most 2n + 1 factors of length n: at most 65 blocks.
+BLOCK = 32
 
 
 def expected_count(lattice, window, radius):
@@ -377,6 +401,18 @@ def enumerate_patch(lattice, window, radius):
     exact integer sign test decides the rest.  Doubling B only appends
     larger candidates, so each step is recorded as a candidate's index,
     and the gap word is read off those indices.
+
+    The reading moves by a constant per candidate, so BLOCK steps in a row
+    decided by the readings alone are decided the same way from every
+    reading in one integer interval: the chosen candidates' inside ranges
+    and the skipped ones' sides, each shifted back by the block's partial
+    sums.  The walk stores such a block under that interval and, from a
+    later point whose reading lies in it, takes the block in one jump once
+    an exact test shows that the block's last point is within R; every
+    point it passes is then a patch point, whose reading keeps the proven
+    error.  A block that needed an exact test is not stored, and doubling
+    B empties the table.  Only the first point and the gap word are kept;
+    ``ModelSetPatch.coords`` builds the points on demand.
     """
     R = Fraction(radius)
     if R <= 0:
@@ -403,7 +439,7 @@ def enumerate_patch(lattice, window, radius):
         B *= 2
         first = extreme(min, -R, -R + B)
     if first is None:
-        return ModelSetPatch(lattice, window, R, (), (), ())
+        return ModelSetPatch(lattice, window, R, None, (), ())
     last = extreme(max, R - B, R)
     while last is None:
         B *= 2
@@ -440,31 +476,86 @@ def enumerate_patch(lattice, window, radius):
             out.append((i, gm, gn, g, low + band - g, high - band - g, low - band - g, high + band - g))
         return out
 
+    def decided(u, i):
+        """The integer interval of readings on which each of candidates
+        0..i-1 reads outside its band on u's side and candidate i inside
+        its own, for a reading u that does so."""
+        lo, hi = cands[i][4] + 1, cands[i][5] - 1
+        for c in cands[:i]:
+            if u < c[6]:
+                hi = min(hi, c[6] - 1)
+            else:
+                lo = max(lo, c[7] + 1)
+        return lo, hi
+
+    # m + n*omega <= R iff (R - m - n*wp) * rs - n*wq*rs*sqrt(d) >= 0.
+    omega = lattice.omega()
+    rs = math.lcm(R.denominator, omega.p.denominator, omega.q.denominator)
+    ra, wp, wq = int(R * rs), int(omega.p * rs), int(omega.q * rs)
+
+    def within(m, n):
+        return _floor_scaled(ra - rs * m - n * wp, -n * wq, 1, d) >= 0
+
     cands = candidates()
     (m, n), (end_m, end_n) = first, last
     u = m * per_m + n * per_n
-    coords = [first]
     steps = []
+    # The block table: starts[k] <= u <= end takes blocks[k] = (end, word,
+    # dm, dn, du) in one jump.  The run of steps since steps[run_at], from
+    # (um, m0, n0), is decided on integers for every reading in [run_lo,
+    # run_hi]; spans[i] caches the last interval decided() gave for i.
+    starts, blocks, spans = [], [], [(1, 0)] * len(cands)
+    run_at, near_end = 0, False
     while m != end_m or n != end_n:
+        if len(steps) == run_at:
+            if not near_end:
+                k = bisect_right(starts, u) - 1
+                if k >= 0 and u <= blocks[k][0]:
+                    _, word, dm, dn, du = blocks[k]
+                    if within(m + dm, n + dn):
+                        steps += word
+                        m, n, u = m + dm, n + dn, u + du
+                        run_at = len(steps)
+                        continue
+                    near_end = True
+            um, m0, n0, run_lo, run_hi = u, m, n, -math.inf, math.inf
+        banded = False
         for i, gm, gn, g, inside_lo, inside_hi, outside_lo, outside_hi in cands:
-            if inside_lo < u < inside_hi or (
-                outside_lo <= u <= outside_hi and fits(m + gm, n + gn)
-            ):
+            if inside_lo < u < inside_hi:
                 break
+            if outside_lo <= u <= outside_hi:
+                banded = True
+                if fits(m + gm, n + gn):
+                    break
         else:
             B *= 2
             cands = candidates()
+            starts, blocks, spans, run_at = [], [], [(1, 0)] * len(cands), len(steps)
             continue
+        if banded or near_end:
+            run_at = len(steps) + 1
+        else:
+            lo_i, hi_i = spans[i]
+            if not lo_i <= u <= hi_i:
+                lo_i, hi_i = spans[i] = decided(u, i)
+            if lo_i - u + um > run_lo:
+                run_lo = lo_i - u + um
+            if hi_i - u + um < run_hi:
+                run_hi = hi_i - u + um
         m += gm
         n += gn
         u += g
-        coords.append((m, n))
         steps.append(i)
+        if len(steps) - run_at == BLOCK:
+            k = bisect_right(starts, run_lo)
+            starts.insert(k, run_lo)
+            blocks.insert(k, (run_hi, tuple(steps[run_at:]), m - m0, n - n0, u - um))
+            run_at = len(steps)
     used = sorted(set(steps))
     rank = dict(zip(used, range(len(used))))
     gap_coords = tuple(cands[i][1:3] for i in used)
     letters = tuple(map(rank.__getitem__, steps))
-    return ModelSetPatch(lattice, window, R, tuple(coords), gap_coords, letters)
+    return ModelSetPatch(lattice, window, R, first, gap_coords, letters)
 
 
 def inversion_witness(window, lattice):

@@ -110,29 +110,42 @@ def matrix(rule):
     return tuple(tuple(rule.images[j].count(i) for j in range(r)) for i in range(r))
 
 
-def matrix_multiply(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-    )
-
-
 def is_primitive(m):
     """Smallest k with all entries of m**k positive, or None.
 
-    The search stops at the Wielandt bound r*r - 2*r + 2, beyond which no
-    nonnegative matrix becomes positive if it has not already.
+    Only the pattern of nonzero entries matters, so each row of a power
+    is an int bitset of its positive columns.  Once some power is
+    positive every higher one is, and none becomes positive past the
+    Wielandt bound r*r - 2*r + 2, so squaring m up to the bound decides
+    primitivity and binary lifting over the squares finds the least k.
     """
     r = len(m)
     if any(len(row) != r for row in m) or any(e < 0 for row in m for e in row):
         raise ValueError("need a square matrix with nonnegative integer entries")
-    bound = r * r - 2 * r + 2
-    p = m
-    for k in range(1, bound + 1):
-        if all(e > 0 for row in p for e in row):
-            return k
-        p = matrix_multiply(p, m)
-    return None
+    full = (1 << r) - 1
+
+    def times(x, y):
+        out = []
+        for bits in x:
+            row = 0
+            while bits:
+                low = bits & -bits
+                row |= y[low.bit_length() - 1]
+                bits ^= low
+            out.append(row)
+        return out
+
+    squares = [[sum(1 << j for j, e in enumerate(row) if e) for row in m]]
+    while squares[-1].count(full) < r:
+        if 1 << (len(squares) - 1) >= r * r - 2 * r + 2:
+            return None
+        squares.append(times(squares[-1], squares[-1]))
+    k, power = 0, None
+    for s in reversed(range(len(squares) - 1)):
+        trial = squares[s] if power is None else times(power, squares[s])
+        if trial.count(full) < r:
+            k, power = k + (1 << s), trial
+    return k + 1
 
 
 def require_primitive(rule):

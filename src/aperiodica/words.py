@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 EXCLUDED = "excluded"
 UNDETERMINED = "undetermined"
+_ENDS = (object(), object())
 
 
 @dataclass(frozen=True)
@@ -100,9 +101,12 @@ def _manacher(word, even):
     (inclusive), and even ones for ``even`` 1, where d[i] is the
     half-length of the palindrome centred between i-1 and i.
 
-    A centre i is expanded letter by letter up to its palindrome's end.
-    Inside it, position j has the radius r of its mirror 2i - j whenever
-    the mirrored palindrome ends strictly inside (r < end - j), the lemma
+    A centre i is expanded letter by letter for eight letters past the
+    radius it inherits; a palindrome that reaches further is extended by
+    comparing slices of the word with slices of its reverse, doubling the
+    slice while it matches and then halving it.  Inside the palindrome,
+    position j has the radius r of its mirror 2i - j whenever the
+    mirrored palindrome ends strictly inside (r < end - j), the lemma
     behind the textbook scan; such radii are copied, the first eight one
     at a time and the rest as reversed slices in doubling chunks.  The
     first j whose mirror reaches the left end starts from end - j and is
@@ -112,12 +116,29 @@ def _manacher(word, even):
     d = [0] * n
     base = 1 - even
     nxt, k = 0, base
+    # Two distinct end markers stop every expansion: word[-1] and word[n].
+    word, rev = tuple(word) + _ENDS, None
     for i in range(n):
         if i < nxt:
             continue
         lo = i - even
-        while k <= lo and i + k < n and word[lo - k] == word[i + k]:
-            k += 1
+        if word[lo - k] == word[i + k]:
+            cap, k = k + 8, k + 1
+            while word[lo - k] == word[i + k]:
+                k += 1
+                if k == cap:
+                    if rev is None:
+                        rev = word[-3::-1]
+                    # rev[off + t] is word[lo - t]; a slice that runs past
+                    # either end of the word differs.
+                    off, step = n - 1 - lo, 8
+                    while rev[off + k : off + k + step] == word[i + k : i + k + step]:
+                        k, step = k + step, step + step
+                    while step > 1:
+                        step //= 2
+                        if rev[off + k : off + k + step] == word[i + k : i + k + step]:
+                            k += step
+                    break
         d[i] = k
         if k <= 1:
             k = base

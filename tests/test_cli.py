@@ -4,6 +4,7 @@ import math
 import random
 import re
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -179,6 +180,18 @@ def test_atlas_nonprimitive_rule(files, capsys):
         assert captured.out == ""
 
 
+def test_large_cyclic_rule_is_refused_quickly(files, capsys):
+    # x_i -> x_(i+1) on 200 letters: no power of its matrix is positive,
+    # and the bitset search up to the Wielandt bound 39602 ends at once.
+    symbols = [f"x{i}" for i in range(200)]
+    images = {s: symbols[(i + 1) % 200] for i, s in enumerate(symbols)}
+    rule = files("cycle.json", {"alphabet": symbols, "images": images})
+    start = time.perf_counter()
+    assert cli.main(["exclude", "--rule", rule, "--nmax", "5"]) == 1
+    assert time.perf_counter() - start < 1
+    assert "Wielandt bound 39602" in capsys.readouterr().err
+
+
 def test_atlas_holds_only_factors(files, capsys):
     rule = files("closure.json", CLOSURE_RULE)
     code, data = run_json(capsys, ["atlas", "--rule", rule, "-N", "2"])
@@ -314,6 +327,22 @@ def test_modelset_palindromes(files, capsys):
     assert code == 0
     assert data["max_palindrome_length"] >= data["sequence_length"] / 50
     assert data["palindromes"][0]["length"] == data["max_palindrome_length"]
+
+
+def test_only_generate_builds_the_points(files, capsys, monkeypatch):
+    patches, walk = [], modelset.enumerate_patch
+
+    def recording(*args):
+        patches.append(walk(*args))
+        return patches[-1]
+
+    monkeypatch.setattr(modelset, "enumerate_patch", recording)
+    spec = files("fib.json", FIB_SPEC)
+    for action in ("palindromes", "symmetry", "generate"):
+        code, data = run_json(capsys, ["modelset", "--spec", spec, "--action", action])
+        assert code == 0
+        assert ("coords" in vars(patches[-1])) == (action == "generate")
+        assert data.get("count", len(patches[-1])) == len(patches[-1]) > 100
 
 
 @pytest.mark.parametrize("radius", ["1/2", "1"])

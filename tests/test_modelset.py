@@ -1,3 +1,4 @@
+import bisect
 import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
@@ -265,7 +266,10 @@ def oracle_patch(lattice, window, radius):
     steps = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(coords, coords[1:])]
     gap_coords = tuple(sorted(set(steps), key=lambda mn: lattice.point(*mn)))
     index = {mn: i for i, mn in enumerate(gap_coords)}
-    return ModelSetPatch(lattice, window, R, coords, gap_coords, tuple(index[s] for s in steps))
+    first = coords[0] if coords else None
+    oracle = ModelSetPatch(lattice, window, R, first, gap_coords, tuple(index[s] for s in steps))
+    assert oracle.coords == coords
+    return oracle
 
 
 def assert_walk_matches_oracle(lattice, window, radius):
@@ -407,6 +411,83 @@ def test_walk_keeps_boundary_points_far_out():
         assert set(ends) <= set(walked.coords)
 
 
+def counting_walk(monkeypatch):
+    """Record the block table's size at each of the walk's bisections (a
+    lookup or an insertion) and the B of each candidate list it builds."""
+    sizes, candidate_lists = [], []
+
+    def bisect_right(a, x):
+        sizes.append(len(a))
+        return bisect.bisect_right(a, x)
+
+    def row_points(lattice, lo, hi, x_lo, x_hi):
+        if x_lo == 0:
+            candidate_lists.append(x_hi)
+        return _row_points(lattice, lo, hi, x_lo, x_hi)
+
+    monkeypatch.setattr(modelset, "bisect_right", bisect_right)
+    monkeypatch.setattr(modelset, "_row_points", row_points)
+    return sizes, candidate_lists
+
+
+def test_block_walk_matches_row_enumeration(monkeypatch):
+    sizes, _ = counting_walk(monkeypatch)
+    sqrt2, sqrt13 = QuadField(2), QuadField(13)
+    for lattice, lo, hi, gaps in (
+        (LAT, LAT.element(Fraction(1, 3)), LAT.element(Fraction(4, 3)), 2),
+        (LAT, LAT.element(Fraction(-3, 5)), LAT.element(Fraction(7, 10)), 3),
+        (sqrt2, sqrt2.element(Fraction(1, 5)), sqrt2.element(Fraction(6, 5)), 2),
+        (sqrt2, sqrt2.element(Fraction(1, 5)), sqrt2.element(Fraction(8, 5)), 3),
+        (sqrt13, sqrt13.element(Fraction(-2, 3), Fraction(1, 4)), sqrt13.element(Fraction(1, 2), Fraction(1, 4)), 3),
+    ):
+        sizes.clear()
+        walked = assert_walk_matches_oracle(lattice, Window(lo, hi), 3000)
+        assert len(walked) > 25 * modelset.BLOCK and len(walked.gap_coords) == gaps
+        # Most blocks are taken in one jump: far fewer lookups than steps,
+        # and the table never holds more than one block per factor.
+        assert len(sizes) < len(walked) / 10
+        assert max(sizes) <= 2 * modelset.BLOCK + 1
+
+
+@pytest.mark.parametrize("block", [2, 32])
+def test_block_walk_decides_near_misses_and_boundary_points_exactly(monkeypatch, block):
+    # Edges within |psi^k| of the star image of a patch point, or on it, and
+    # an edge on the star image of (0, 0): the step onto that point needs
+    # the exact test inside what would otherwise be a stored block.
+    monkeypatch.setattr(modelset, "BLOCK", block)
+    coords = enumerate_patch(LAT, fib_window(), 600).coords
+    delta = GOLDEN.element(1)
+    for k in range(1, 41):
+        delta = delta * star(TAU)
+        if k % 12 != 4:
+            continue
+        for mn in (coords[100], coords[len(coords) // 2], coords[-100]):
+            z = star(LAT.point(*mn))
+            for edge in (z - abs(delta), z + abs(delta), z):
+                assert_walk_matches_oracle(LAT, Window(edge, edge + 1), 600)
+                assert_walk_matches_oracle(LAT, Window(edge - 1, edge), 600)
+    nongeneric = Window(GOLDEN.element(0), GOLDEN.element(1))
+    assert (0, 0) in assert_walk_matches_oracle(LAT, nongeneric, 600).coords
+
+
+def test_block_walk_across_doublings_of_b(monkeypatch):
+    # A narrow window centred on 0 gives a model set symmetric about 0.  With
+    # R the ceiling of a point's |z|, the first and last points lie within
+    # 1 of -R and R, so the walk starts at B = 1 below the shortest gap,
+    # and B doubles mid-walk, emptying the block table.
+    _, candidate_lists = counting_walk(monkeypatch)
+    for trial in range(8):
+        field = QuadField((2, 3, 5, 7)[trial % 4], ("sqrt", OMEGA_GOLDEN)[trial // 4])
+        half = field.element(Fraction(1, 50 + 7 * trial))
+        window = Window(-half, half)
+        far = enumerate_patch(field, window, 30000).coords[-1]
+        radius = field.point(*far).ceil()
+        candidate_lists.clear()
+        walked = assert_walk_matches_oracle(field, window, radius)
+        assert far in walked.coords and len(walked) > 5 * modelset.BLOCK
+        assert candidate_lists[0] == 1 and len(candidate_lists) >= 5
+
+
 def test_patch_cap_follows_the_expected_point_count(monkeypatch):
     # The paper window holds about 2R / sqrt(5) points within R, so a cap
     # of 100 points admits R = 111 and refuses R = 112 (100 sqrt(5) / 2
@@ -447,8 +528,8 @@ def test_gap_legend_stable_under_doubling_radius():
 
 
 def test_single_gap_patch_gives_constant_word():
-    coords = ((0, 0), (1, 0), (2, 0), (3, 0))
-    patch = ModelSetPatch(LAT, fib_window(), Fraction(10), coords, ((1, 0),), (0, 0, 0))
+    patch = ModelSetPatch(LAT, fib_window(), Fraction(10), (0, 0), ((1, 0),), (0, 0, 0))
+    assert patch.coords == ((0, 0), (1, 0), (2, 0), (3, 0)) and len(patch) == 4
     assert gap_values(patch) == (GOLDEN.element(1),)
     assert patch.letters == (0, 0, 0)
     # A patch of one point has no gap and an empty gap word.
@@ -634,6 +715,19 @@ def mirrored_words(draw):
 def test_manacher_matches_the_textbook_scan(word):
     word = tuple(word)
     assert (_manacher(word, 0), _manacher(word, 1)) == manacher_oracle(word)
+
+
+@given(
+    st.integers(0, 3).flatmap(lambda m: st.lists(st.integers(0, m), max_size=80)),
+    st.integers(1, 4),
+    st.integers(0, 400),
+)
+def test_manacher_gallops_on_long_palindromes(w, repeats, run):
+    # w + reverse(w) + w, possibly repeated, nests palindromes longer than
+    # the eight letters expanded one by one; a constant word is one
+    # palindrome whose every centre reaches an end of the word.
+    for word in (tuple(w + w[::-1]) * repeats + tuple(w), (0,) * run):
+        assert (_manacher(word, 0), _manacher(word, 1)) == manacher_oracle(word)
 
 
 def test_manacher_on_long_structured_words():

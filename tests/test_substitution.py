@@ -19,7 +19,6 @@ from aperiodica.substitution import (
     fibonacci_rule,
     is_primitive,
     matrix,
-    matrix_multiply,
     resolve_seed_and_power,
     rule_from_dict,
     thue_morse_rule,
@@ -32,6 +31,13 @@ def compose(outer, inner_rule):
     if outer.alphabet != inner_rule.alphabet:
         raise ValueError("composition needs a shared alphabet")
     return SubstitutionRule(outer.alphabet, tuple(apply(outer, img) for img in inner_rule.images))
+
+
+def matrix_multiply(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
+    )
 
 
 def matrix_power(m, k):
@@ -112,6 +118,36 @@ def test_is_primitive_examples():
     assert is_primitive(matrix(swap)) is None
     with pytest.raises(ValueError):
         is_primitive(((1, -1), (0, 1)))
+
+
+def integer_power_primitivity(m):
+    """The least k <= r*r - 2*r + 2 with m**k positive, by integer powers."""
+    p = m
+    for k in range(1, len(m) ** 2 - 2 * len(m) + 3):
+        if all(e > 0 for row in p for e in row):
+            return k
+        p = matrix_multiply(p, m)
+    return None
+
+
+def test_is_primitive_matches_integer_powers():
+    rng = random.Random(2026)
+    for _ in range(300):
+        r = rng.randint(1, 6)
+        density = rng.random()
+        m = tuple(
+            tuple(rng.randint(1, 3) if rng.random() < density else 0 for _ in range(r))
+            for _ in range(r)
+        )
+        assert is_primitive(m) == integer_power_primitivity(m), m
+    # Wielandt's matrix reaches the bound: the cycle 0 -> 1 -> ... -> r-1 -> 0
+    # with one chord r-1 -> 1.  The plain cycle is never positive.
+    for r in (2, 3, 5, 8, 40):
+        cycle = [[int(j == (i + 1) % r) for j in range(r)] for i in range(r)]
+        assert is_primitive(cycle) is None
+        cycle[r - 1][1] = 1
+        assert is_primitive(cycle) == r * r - 2 * r + 2
+    assert is_primitive(((5,),)) == 1 and is_primitive(((0,),)) is None
 
 
 def test_matrix_power():
