@@ -97,7 +97,7 @@ def _verdict_payload(verdict):
 
 def cmd_exclude(args):
     rule, _ = _load_rule(args.rule)
-    if args.phi and rule.alphabet.symbols != ("a", "b", "c", "d"):
+    if args.phi and rule.alphabet != rudin_shapiro.QUATERNARY_ALPHABET:
         raise ValueError("--phi needs the four-letter alphabet a, b, c, d")
     covers = substitution.cover_words(rule, args.nmax)
     if args.phi:

@@ -49,7 +49,7 @@ def rs_binary_prefix(length):
     """First ``length`` binary values; entry n is the parity of block_count_a(n)."""
     if length < 0:
         raise ValueError("length must be >= 0")
-    return tuple((n & (n >> 1)).bit_count() & 1 for n in range(length))
+    return tuple(block_count_a(n) & 1 for n in range(length))
 
 
 def phi(w):

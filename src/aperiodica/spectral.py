@@ -288,16 +288,13 @@ def _steps(letters, factor, hi):
     return a, b, c, d, scale
 
 
-def transfer_product(energy, potential, values, coupling, window=None):
-    """Accumulate the transfer matrices of the window left to right.
+def transfer_product(energy, potential, values, coupling):
+    """Accumulate the transfer matrices of the potential left to right.
 
-    The product maps (u_n, u_{n-1}) to (u_{n+1}, u_n) across the window;
-    an empty window gives the identity.  Energy, coupling and each factor
+    The product maps (u_n, u_{n-1}) to (u_{n+1}, u_n) across the potential;
+    an empty potential gives the identity.  Energy, coupling and each factor
     E - coupling * value must be finite; blocks: see the module docstring.
     """
-    start, stop = (0, len(potential)) if window is None else window
-    if not (0 <= start <= stop <= len(potential)):
-        raise ValueError("window must lie within the potential sequence")
     factor = {x: energy - coupling * v for x, v in dict(values).items()}
     if not all(map(math.isfinite, (energy, coupling, *factor.values()))):
         raise ValueError("energy, coupling and E - coupling * value must be finite")
@@ -305,8 +302,8 @@ def transfer_product(energy, potential, values, coupling, window=None):
     blocks = {}
     a, b, c, d, scale = 1.0, 0.0, 0.0, 1.0, 0
     try:
-        for i in range(start, stop, _BLOCK):
-            key = tuple(potential[i : min(i + _BLOCK, stop)])
+        for i in range(0, len(potential), _BLOCK):
+            key = tuple(potential[i : i + _BLOCK])
             block = blocks.get(key)
             if block is None:
                 block = blocks[key] = _steps(key, factor, hi)
@@ -319,4 +316,4 @@ def transfer_product(energy, potential, values, coupling, window=None):
             scale += e
     except KeyError as exc:
         raise ValueError(f"no value assigned to letter {exc}") from None
-    return TransferMatrixProduct(energy, start, stop, ((a, b), (c, d)), scale)
+    return TransferMatrixProduct(energy, 0, len(potential), ((a, b), (c, d)), scale)

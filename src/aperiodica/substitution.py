@@ -3,12 +3,14 @@
 A few cover words hold exactly the fixed point's factors of each length
 up to N: exclusion, the Rudin-Shapiro table and the induction atlas read
 them.  The window atlas collects the factors of a growing fixed-point
-prefix instead; the test suite cross-checks both routes.
+prefix instead; the test suite cross-checks both routes.  A prefix of n
+letters is cut at n after each application of sigma to the seed letter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
 
 from .words import Alphabet
 
@@ -176,30 +178,26 @@ def resolve_seed_and_power(rule, seed=None):
 
 
 class FixedPointStream:
-    """Lazily extendable prefix of the one-sided fixed point.
+    """Prefixes of the one-sided fixed point.
 
     ``sigma**power`` applied to the seed letter starts with the seed, so
-    repeated application produces nested prefixes; the buffer is grown by
-    substituting one already-known letter at a time.
+    its powers applied to ``(seed,)`` give nested prefixes.  Every image
+    is nonempty, so the first n letters of sigma(w) read at most n
+    letters of w: each application keeps only n letters, and a prefix
+    never holds more than n.
     """
 
     def __init__(self, rule, seed=None):
-        seed, power = resolve_seed_and_power(rule, seed)
-        images = [(a,) for a in range(len(rule.alphabet))]
-        for _ in range(power):
-            images = [apply(rule, w) for w in images]
-        self._images = images
-        self._buf = list(images[seed])
-        self._next = 1
+        self._images = rule.images
+        self._seed, self._power = resolve_seed_and_power(rule, seed)
 
     def prefix(self, n):
         """The first n letters of the fixed point."""
-        buf = self._buf
-        images = self._images
-        while len(buf) < n:
-            buf.extend(images[buf[self._next]])
-            self._next += 1
-        return tuple(buf[:n])
+        word, lookup = (self._seed,), self._images.__getitem__
+        while len(word) < n:
+            for _ in range(self._power):
+                word = tuple(islice(chain.from_iterable(map(lookup, word)), n))
+        return word[:n]
 
 
 def atlas_by_induction(rule, n):

@@ -999,6 +999,28 @@ def test_atlas_under_400_mb(files, tmp_path, n, method, code):
         assert data["count"] == n + 1 and data["methods_agree"] is True
 
 
+def test_long_head_cycle_rule_under_400_mb(files, tmp_path):
+    # x_i -> x_(i+1) x_0, x_25 -> x_0 x_1 fits in under 1 KB, and its
+    # fixed point needs sigma^26.  The stream built sigma^26 of every
+    # letter, about 2^26 letters each, and both runs died with a
+    # MemoryError traceback and exit 1.  x_25 first occurs near 2^25, past
+    # the prefix cap, so the window atlas cannot close before it.
+    symbols = [f"x{i}" for i in range(26)]
+    images = {s: f"{symbols[i + 1]}.x0" for i, s in enumerate(symbols[:-1])}
+    rule = files("cycle26.json", {"alphabet": symbols, "images": dict(images, x25="x0.x1")})
+    values = ",".join(f"{s}={i}" for i, s in enumerate(symbols))
+    out = tmp_path / "out.json"
+    proc = run_limited(
+        ["spectrum", "--rule", rule, "--values", values, "--size", "5", "-o", str(out)], timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(out.read_text())["eigenvalues"]) == 5
+    proc = run_limited(["atlas", "--rule", rule, "-N", "3", "--method", "window"], timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    cap = substitution.DEFAULT_MAX_PREFIX
+    assert proc.stderr == f"error: factor set of length 3 did not close within the prefix cap {cap}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [["exclude", "--nmax", "5"]]

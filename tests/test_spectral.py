@@ -2,6 +2,7 @@ import json
 import math
 import random
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -343,9 +344,9 @@ def decimal_product(energy, word, values, coupling):
 
 def assert_matches_oracle(t, energy, potential, values, coupling):
     """Every entry of 2**scale_pow2 * matrix lies within 4 n 2^-52 ||M|| of
-    the oracle's product M (max-norm) over the product's window."""
+    the oracle's product M (max-norm) over the potential."""
     n = t.count
-    want = decimal_product(energy, potential[t.start : t.stop], values, coupling)
+    want = decimal_product(energy, potential, values, coupling)
     with localcontext() as ctx:
         ctx.prec, ctx.Emax, ctx.Emin = 60, MAX_EMAX, MIN_EMIN
         scale = Decimal(2) ** t.scale_pow2
@@ -373,8 +374,19 @@ ORACLE_WORDS = {
 # with every factor E - coupling * x beyond +-2.5.
 ORACLE_REGIMES = ((1.37, 0.0), (-0.6, 0.0), (3.5, 1.0), (-3.5, 1.0))
 # Whole word, offsets and lengths off the 32-letter blocks, an empty
-# window and one shorter than a block.
+# slice and one shorter than a block.
 ORACLE_WINDOWS = (None, (5, ORACLE_LENGTH - 7), (37, 37), (100, 119), (3, 1003))
+# Products over the slices word[s:e] above and below, as transfer_product
+# gave them when it took (s, e) as a window of the whole word and cut
+# blocks from s: float.hex of the four entries, then scale_pow2.
+WINDOW_PRODUCTS = json.loads((Path(__file__).parent / "data" / "transfer_windows.json").read_text())
+
+
+def assert_as_windowed(t, name, coupling, window):
+    """``t`` equals, bit for bit, the recorded product of the window."""
+    key = f"{name} E={t.energy} lambda={coupling} [{window[0]}:{window[1]}]"
+    got = [x.hex() for row in t.matrix for x in row] + [t.scale_pow2]
+    assert got == WINDOW_PRODUCTS[key], key
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_WORDS))
@@ -382,9 +394,12 @@ def test_transfer_product_matches_decimal_oracle(name):
     word, values = ORACLE_WORDS[name]
     for energy, coupling in ORACLE_REGIMES:
         for window in ORACLE_WINDOWS:
-            t = transfer_product(energy, word, values, coupling, window)
-            assert t.count == (len(word) if window is None else window[1] - window[0])
-            assert_matches_oracle(t, energy, word, values, coupling)
+            part = word if window is None else word[window[0] : window[1]]
+            t = transfer_product(energy, part, values, coupling)
+            assert (t.start, t.stop) == (0, len(part))
+            assert_matches_oracle(t, energy, part, values, coupling)
+            if window is not None:
+                assert_as_windowed(t, name, coupling, window)
 
 
 def test_transfer_product_on_a_word_of_many_distinct_blocks(monkeypatch):
@@ -402,10 +417,12 @@ def test_transfer_product_on_a_word_of_many_distinct_blocks(monkeypatch):
     monkeypatch.setattr(spectral, "_steps", recorded)
     for energy, coupling in ((1.37, 0.0), (3.5, 1.0)):
         stepped.clear()
-        t = transfer_product(energy, word, values, coupling, (11, 39990))
-        assert_matches_oracle(t, energy, word, values, coupling)
+        part = word[11:39990]
+        t = transfer_product(energy, part, values, coupling)
+        assert_matches_oracle(t, energy, part, values, coupling)
+        assert_as_windowed(t, "random40", coupling, (11, 39990))
         size = spectral._BLOCK
-        blocks = {word[i : min(i + size, 39990)] for i in range(11, 39990, size)}
+        blocks = {part[i : i + size] for i in range(0, len(part), size)}
         assert len(stepped) == len(blocks) > 1024
         assert set(stepped) == blocks
 
@@ -421,9 +438,10 @@ def test_transfer_product_on_a_word_of_many_distinct_blocks(monkeypatch):
     ],
 )
 def test_transfer_product_with_huge_factors(values, energy, coupling):
-    word, _ = ORACLE_WORDS["random2"]
-    t = transfer_product(energy, word, values, coupling, (3, 404))
-    assert_matches_oracle(t, energy, word, values, coupling)
+    part = ORACLE_WORDS["random2"][0][3:404]
+    t = transfer_product(energy, part, values, coupling)
+    assert_matches_oracle(t, energy, part, values, coupling)
+    assert_as_windowed(t, f"random2 {values}", coupling, (3, 404))
 
 
 def test_transfer_growth_in_hyperbolic_regime():
@@ -437,11 +455,6 @@ def test_transfer_growth_in_hyperbolic_regime():
         norm = max(abs(x) for x in decimal_product(10.0, word, FIB_VALUES, 2.0))
         want = float(norm.ln() / len(word))
     assert abs(t.growth_rate() - want) <= 1e-12
-
-
-def test_transfer_window_validation():
-    with pytest.raises(ValueError):
-        transfer_product(0.0, (0, 0), {0: 0.0}, 1.0, (0, 5))
 
 
 @pytest.mark.parametrize(

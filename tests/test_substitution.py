@@ -4,7 +4,7 @@ import pytest
 
 import chain_oracle
 from chain_oracle import atlas_chain, closure, induced_substitute
-from conftest import brute_factors, expanded_word
+from conftest import brute_factors, expanded_word, run_python
 from aperiodica import substitution
 from aperiodica.rudin_shapiro import quaternary_rule
 from aperiodica.substitution import (
@@ -171,6 +171,85 @@ def test_fixed_point_prefixes_are_nested():
     assert p2[:37] == p1
 
 
+class ImageTableStream:
+    """Reference fixed-point prefixes: sigma^power of every letter spelled
+    out in full, and a buffer grown by substituting one known letter at a
+    time with those images."""
+
+    def __init__(self, rule, seed=None):
+        seed, power = resolve_seed_and_power(rule, seed)
+        images = [(a,) for a in range(len(rule.alphabet))]
+        for _ in range(power):
+            images = [apply(rule, w) for w in images]
+        self._images = images
+        self._buf = list(images[seed])
+        self._next = 1
+
+    def prefix(self, n):
+        buf = self._buf
+        while len(buf) < n:
+            buf.extend(self._images[buf[self._next]])
+            self._next += 1
+        return tuple(buf[:n])
+
+
+def test_prefixes_match_the_image_table_stream():
+    # Single lengths from fresh streams, and the doubling lengths that
+    # atlas_by_window asks one stream for, for every admissible seed.
+    pairs = 0
+    for rule in random_primitive_rules(300, 24, sizes=range(1, 7)):
+        seeds = [None]
+        for s in range(len(rule.alphabet)):
+            try:
+                seeds.append(resolve_seed_and_power(rule, s)[0])
+            except ValueError:
+                pass
+        if len(seeds) == 1:
+            for build in (FixedPointStream, ImageTableStream):
+                with pytest.raises(ValueError, match="no seed/power pair"):
+                    build(rule)
+            continue
+        for seed in seeds:
+            pairs += 1
+            for n in (0, 1, 2, 7, 100, 3000):
+                assert FixedPointStream(rule, seed).prefix(n) == ImageTableStream(rule, seed).prefix(n)
+            stream, reference = FixedPointStream(rule, seed), ImageTableStream(rule, seed)
+            for n in (64, 128, 256, 512, 1024, 2048, 4096, 8192, 5):
+                assert stream.prefix(n) == reference.prefix(n), (rule, seed, n)
+    assert pairs >= 600
+
+
+def long_head_cycle_rule():
+    """x_i -> x_(i+1) x_0 for i < 25, x_25 -> x_0 x_1: primitive, with a
+    head cycle of 26 letters, so sigma^26 is the least power whose image
+    of x_0 starts with x_0, and |sigma^26(x)| is about 2^26."""
+    images = tuple((i + 1, 0) for i in range(25)) + ((0, 1),)
+    return SubstitutionRule(Alphabet([f"x{i}" for i in range(26)]), images)
+
+
+def test_long_head_cycle_prefix_holds_only_its_letters():
+    # The image-table stream spelled out sigma^26 of every letter first,
+    # about 2^26 letters each.  The child runs under a 400 MB address-space
+    # limit, so that a stream that still did would fail there.
+    rule = long_head_cycle_rule()
+    assert resolve_seed_and_power(rule) == (0, 26)
+    code = (
+        "import resource, tracemalloc\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
+        "from aperiodica.substitution import FixedPointStream, SubstitutionRule\n"
+        "from aperiodica.words import Alphabet\n"
+        f"rule = SubstitutionRule(Alphabet({rule.alphabet.symbols!r}), {rule.images!r})\n"
+        "tracemalloc.start()\n"
+        "word = FixedPointStream(rule).prefix(250000)\n"
+        "print(len(word), tracemalloc.get_traced_memory()[1])\n"
+    )
+    proc = run_python("-c", code, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    length, peak = map(int, proc.stdout.split())
+    # The word and the next application's tuple, 8 bytes a letter each.
+    assert length == 250000 and peak < 8 << 20
+
+
 def test_seed_power_detection():
     # a -> ba, b -> a: the expansion only returns to the seed at power 2
     rule = SubstitutionRule.from_mapping(Alphabet("ab"), {"a": "ba", "b": "a"})
@@ -238,16 +317,17 @@ def test_atlas_requires_primitive_rule():
             build(swap, 2)
 
 
-def random_primitive_rules(count, seed):
-    """Seeded primitive rules on 2-4 letters with images of length 1-4."""
+def random_primitive_rules(count, seed, sizes=(2, 3, 4)):
+    """Seeded primitive rules on ``sizes`` letters (at most 6) with images
+    of length 1-4."""
     rng = random.Random(seed)
     rules = []
     while len(rules) < count:
-        r = rng.choice((2, 3, 4))
+        r = rng.choice(sizes)
         images = tuple(
             tuple(rng.randrange(r) for _ in range(rng.randint(1, 4))) for _ in range(r)
         )
-        rule = SubstitutionRule(Alphabet("abcd"[:r]), images)
+        rule = SubstitutionRule(Alphabet("abcdef"[:r]), images)
         if is_primitive(matrix(rule)) is not None:
             rules.append(rule)
     return rules
