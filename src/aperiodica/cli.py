@@ -7,7 +7,9 @@ non-primitive rule, method disagreement), 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -32,12 +34,19 @@ def _f15(x):
     return format(float(x), ".15g")
 
 
-def _emit(text, path):
+@contextlib.contextmanager
+def _output(path):
+    """The file at ``path`` opened for writing, or stdout without a path."""
     if path:
         with open(path, "w") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(text, path):
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def _json_object(value, what):
@@ -213,9 +222,15 @@ def _lattice_value(m, n, omega):
     return format(value, ".15g") if math.isfinite(value) else None
 
 
-def _generate_text(payload, coords, omega):
-    """The JSON text of a ``generate`` payload with ``coords`` written as
-    the items of its empty ``"points"`` list, one format string a point.
+# Points formatted and written at once by _write_generate.
+_POINT_BATCH = 256
+
+
+def _write_generate(payload, patch, omega, path):
+    """Write the JSON text of a ``generate`` payload to ``path``, or to
+    stdout, with the patch's points as the items of its empty ``"points"``
+    list, one format string a point and ``_POINT_BATCH`` points a write,
+    so neither the points nor their text is ever held whole.
 
     Below CPython 3.13 ``json.dumps`` with an indent encodes in Python,
     one step a token, and the points are nearly all of the text.  The
@@ -223,21 +238,29 @@ def _generate_text(payload, coords, omega):
     ``"points": []`` of the text is that list.
     """
     head, empty, tail = _json_text(payload).partition('"points": []')
-    items = []
-    for m, n in coords:
-        value = _lattice_value(m, n, omega)
-        value = "null" if value is None else f'"{value}"'
-        items.append(f'{{\n      "m": {m},\n      "n": {n},\n      "value": {value}\n    }}')
-    if not items:
-        return head + empty + tail
-    items[0] = head + '"points": [\n    ' + items[0]
-    items[-1] += "\n  ]" + tail
-    return ",\n    ".join(items)
+    with _output(path) as fh:
+        if not len(patch):
+            fh.write(head + empty + tail)
+            return
+        fh.write(head + '"points": [\n    ')
+        points, sep = patch.iter_coords(), ""
+        while batch := list(itertools.islice(points, _POINT_BATCH)):
+            items = []
+            for m, n in batch:
+                value = _lattice_value(m, n, omega)
+                value = "null" if value is None else f'"{value}"'
+                items.append(
+                    f'{{\n      "m": {m},\n      "n": {n},\n      "value": {value}\n    }}'
+                )
+            fh.write(sep + ",\n    ".join(items))
+            sep = ",\n    "
+        fh.write("\n  ]" + tail)
 
 
-# The points text of a generate payload is held about twice over while
-# it is joined, beside the patch: a run whose points came to 49.7 MB of
-# text (418-digit m and n) peaked at 143 MiB on CPython 3.11.
+# A bound on the size of a generate output, not on its memory: the points
+# are written a batch at a time, so a run that wrote 48.8 MB (418-digit
+# m and n, R = 60828) peaked at 17 MiB RSS on CPython 3.11, and one of
+# the paper's window at R = 270000 (120000 points) at 19 MiB.
 MAX_GENERATE_BYTES = 50_000_000
 
 
@@ -251,6 +274,7 @@ def _point_bytes(field, window, radius):
 
 # The gap names: an interval window has at most three gaps (three-distance theorem).
 _GAP_NAMES = "abc"
+_GAP_BYTES = bytes.maketrans(b"\0\1\2", _GAP_NAMES.encode())
 
 
 def cmd_modelset(args):
@@ -295,8 +319,8 @@ def cmd_modelset(args):
                 {"letter": letter, "m": m, "n": n, "value": _lattice_value(m, n, omega)}
                 for letter, (m, n) in zip(_GAP_NAMES, patch.gap_coords)
             ]
-            payload["sequence"] = "".join(map(_GAP_NAMES.__getitem__, patch.letters))
-        _emit(_generate_text(payload, patch.coords, omega), args.output)
+            payload["sequence"] = patch.letters.translate(_GAP_BYTES).decode()
+        _write_generate(payload, patch, omega, args.output)
         return 0
     if args.action == "symmetry":
         witness = modelset.inversion_witness(window, field)

@@ -274,11 +274,13 @@ class ModelSetPatch:
     patch.  ``gap_coords`` holds the distinct steps between consecutive
     points in increasing order, and ``letters[i]`` is the index in
     ``gap_coords`` of the step from point i to point i + 1; the walk
-    records both.  ``coords``, every point's (m, n) in increasing physical
-    position, is built from those on first use, so a reading of the gap
-    word alone never holds the points.  A patch is a finite sample: the
-    inversion verdict reads the window alone, and the palindrome and gap
-    readings hold for this patch only.
+    records both, ``letters`` as ``bytes`` (an interval window has at most
+    three gaps, by the three-distance theorem).  ``iter_coords()`` yields
+    every point's (m, n) in increasing physical position from those, and
+    ``coords`` holds them all, built on first use; the CLI reads only
+    ``iter_coords()``.  A patch is a finite sample: the inversion verdict
+    reads the window alone, and the palindrome and gap readings hold for
+    this patch only.
     """
 
     lattice: QuadField
@@ -286,23 +288,28 @@ class ModelSetPatch:
     radius: Fraction
     first: tuple | None
     gap_coords: tuple
-    letters: tuple
+    letters: bytes
 
     def __len__(self):
         return 0 if self.first is None else len(self.letters) + 1
 
-    @cached_property
-    def coords(self):
+    def iter_coords(self):
+        """Every point's (m, n) in increasing physical position, one at a
+        time: ``first`` and the running sums of the gaps ``letters`` name."""
         if self.first is None:
-            return ()
+            return iter(())
         m, n = self.first
         gm = [g[0] for g in self.gap_coords]
         gn = [g[1] for g in self.gap_coords]
         ms = itertools.accumulate(map(gm.__getitem__, self.letters), initial=m)
         ns = itertools.accumulate(map(gn.__getitem__, self.letters), initial=n)
+        return zip(ms, ns)
+
+    @cached_property
+    def coords(self):
         # A list first: tuple() of an iterator of unknown length grows by
         # repeated resizing, about a third slower here.
-        return tuple(list(zip(ms, ns)))
+        return tuple(list(self.iter_coords()))
 
 
 def _floor_scaled(a, b, scale, d):
@@ -354,10 +361,9 @@ def _row_points(lattice, lo, hi, x_lo, x_hi):
     return out
 
 
-# A generate payload of this many points peaks near 110 MiB on CPython
-# 3.11, while palindromes and symmetry, which keep only the gap word,
-# peak near 27 MiB; the largest patch the tests build has about 107000
-# points.
+# A patch of this many points keeps only its gap word, one byte a point:
+# generate, palindromes and symmetry peak near 19, 20 and 19 MiB RSS on
+# CPython 3.11; the largest patch the tests build has about 120000 points.
 MAX_PATCH_POINTS = 250_000
 
 # Steps in one block of the walk.  The block table holds at most one block
@@ -439,7 +445,7 @@ def enumerate_patch(lattice, window, radius):
         B *= 2
         first = extreme(min, -R, -R + B)
     if first is None:
-        return ModelSetPatch(lattice, window, R, None, (), ())
+        return ModelSetPatch(lattice, window, R, None, (), b"")
     last = extreme(max, R - B, R)
     while last is None:
         B *= 2
@@ -496,7 +502,14 @@ def enumerate_patch(lattice, window, radius):
     def within(m, n):
         return _floor_scaled(ra - rs * m - n * wp, -n * wq, 1, d) >= 0
 
+    def step_bound():
+        """More steps than a correct walk takes: each step covers at least
+        the shortest candidate, which doubling B keeps, and the walk spans
+        at most 2R."""
+        return (lattice.element(2 * R) / exact(*cands[0][1:3])).floor() if cands else 0
+
     cands = candidates()
+    max_steps = step_bound()
     (m, n), (end_m, end_n) = first, last
     u = m * per_m + n * per_n
     steps = []
@@ -508,6 +521,10 @@ def enumerate_patch(lattice, window, radius):
     run_at, near_end = 0, False
     while m != end_m or n != end_n:
         if len(steps) == run_at:
+            # A run starts at least every BLOCK steps, so a walk that passed
+            # the last point stops here within BLOCK steps of the bound.
+            if run_at > max_steps:
+                raise RuntimeError(f"the walk passed the patch's last point {last}")
             if not near_end:
                 k = bisect_right(starts, u) - 1
                 if k >= 0 and u <= blocks[k][0]:
@@ -530,6 +547,7 @@ def enumerate_patch(lattice, window, radius):
         else:
             B *= 2
             cands = candidates()
+            max_steps = step_bound()
             starts, blocks, spans, run_at = [], [], [(1, 0)] * len(cands), len(steps)
             continue
         if banded or near_end:
@@ -554,7 +572,7 @@ def enumerate_patch(lattice, window, radius):
     used = sorted(set(steps))
     rank = dict(zip(used, range(len(used))))
     gap_coords = tuple(cands[i][1:3] for i in used)
-    letters = tuple(map(rank.__getitem__, steps))
+    letters = bytes(map(rank.__getitem__, steps))
     return ModelSetPatch(lattice, window, R, first, gap_coords, letters)
 
 
@@ -578,27 +596,28 @@ def palindrome_scan(word, top=None):
     A factor occupying positions i..j is centered at (i + j) / 2; centers
     are reported doubled so half-integers stay exact.  Results are sorted
     by length descending, then by center.  ``top`` keeps the first ``top``
-    rows: a length histogram finds the top-th length, and only rows at
-    least that long are built and sorted.  ``_manacher`` gives the
-    textbook scan's radii, copying mirrored ones in bulk.
+    rows: a row among them is at least as long as the top-th row of its
+    parity, so each parity's radius histogram finds that length, and only
+    rows at least that long are built before its radii are dropped.
+    ``_manacher`` gives the textbook scan's radii, copying mirrored ones
+    in bulk.
     """
     if top is not None and top < 0:
         raise ValueError(f"top must be non-negative, got {top}")
-    d1, d2 = _manacher(word, 0), _manacher(word, 1)
-    # Odd row i has center 2i and length 2*d1[i] - 1; even row i has center
-    # 2i - 1 and length 2*d2[i], and exists when d2[i] > 0.
-    shortest = 1
-    if top is not None:
-        lengths = Counter({2 * r - 1: count for r, count in Counter(d1).items()})
-        lengths.update({2 * r: count for r, count in Counter(d2).items() if r > 0})
-        kept = 0
-        for shortest in sorted(lengths, reverse=True):
-            kept += lengths[shortest]
-            if kept >= top:
-                break
-    r_odd, r_even = (shortest + 2) // 2, max(1, (shortest + 1) // 2)
-    out = [(2 * i, 2 * r - 1) for i, r in enumerate(d1) if r >= r_odd]
-    out += [(2 * i - 1, 2 * r) for i, r in enumerate(d2) if r >= r_even]
+    out = []
+    for even in (0, 1):
+        # Radius r at i is a row of length 2r - 1 centred at 2i when odd,
+        # and of length 2r centred at 2i - 1 when even and r > 0.
+        d = _manacher(word, even)
+        r_min = 1
+        if top is not None:
+            counts, kept = Counter(d), 0
+            for r_min in sorted(counts, reverse=True):
+                kept += counts[r_min]
+                if kept >= top:
+                    break
+        r_min = max(r_min, 1)
+        out += [(2 * i - even, 2 * r - 1 + even) for i, r in enumerate(d) if r >= r_min]
+        del d
     out.sort(key=lambda t: (-t[1], t[0]))
     return out[:top]
-

@@ -10,7 +10,7 @@ letters is cut at n after each application of sigma to the seed letter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, count, islice
 
 from .words import Alphabet
 
@@ -199,6 +199,32 @@ class FixedPointStream:
                 word = tuple(islice(chain.from_iterable(map(lookup, word)), n))
         return word[:n]
 
+    def first_positions(self, cap):
+        """Each letter's first position in the fixed point, or ``cap`` for
+        one that first occurs at ``cap`` or later.  Built from the first
+        position of every letter in sigma^j(a) for every letter a, and from
+        the lengths |sigma^j(a)|, all clamped at ``cap``, so no word is
+        built.  sigma^j(seed) is a prefix of the fixed point whenever the
+        power divides j, and each such prefix keeps the letters of the last.
+        """
+        images, r = self._images, len(self._images)
+        lengths = [1] * r
+        firsts = [[0 if b == a else cap for b in range(r)] for a in range(r)]
+        for j in count():
+            if j % self._power == 0:
+                here = firsts[self._seed]
+                if max(here) < cap or lengths[self._seed] >= cap:
+                    return here
+            new_lengths, new_firsts = [], []
+            for image in images:
+                row, offset = [cap] * r, 0
+                for b in image:
+                    row = [min(p, offset + q) for p, q in zip(row, firsts[b])]
+                    offset = min(offset + lengths[b], cap)
+                new_lengths.append(offset)
+                new_firsts.append(row)
+            lengths, firsts = new_lengths, new_firsts
+
 
 def atlas_by_induction(rule, n):
     """Length-n atlas, the frozenset of the fixed point's length-n
@@ -237,20 +263,27 @@ def atlas_by_window(rule, n):
     under that induced map, and a nonempty closed set of legal words is
     the whole language: the stop is exact.  ValueError, before any window
     is built as a tuple, when the prefix would pass ``DEFAULT_MAX_PREFIX``
-    letters or its factors ``MAX_ATLAS_LETTERS``.
+    letters or its factors ``MAX_ATLAS_LETTERS``.  Every letter occurs in
+    the language, so a prefix that misses one cannot close: a letter that
+    first occurs past the longest prefix within the cap refuses the rule
+    before any prefix is built.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     require_primitive(rule)
     stream = FixedPointStream(rule)
+    lengths = []
     length = max(64, 4 * n)
     while length <= DEFAULT_MAX_PREFIX:
-        prefix = stream.prefix(length)
-        factors = _distinct_windows([prefix], n)
-        image = "".join(map(chr, apply(rule, prefix)))
-        if all(image[i : i + n] in factors for i in range(len(image) - n + 1)):
-            return frozenset({prefix[i : i + n] for i in range(length - n + 1)})
+        lengths.append(length)
         length *= 2
+    if lengths and max(stream.first_positions(lengths[-1])) < lengths[-1]:
+        for length in lengths:
+            prefix = stream.prefix(length)
+            factors = _distinct_windows([prefix], n)
+            image = "".join(map(chr, apply(rule, prefix)))
+            if all(image[i : i + n] in factors for i in range(len(image) - n + 1)):
+                return frozenset({prefix[i : i + n] for i in range(length - n + 1)})
     raise ValueError(
         f"factor set of length {n} did not close within the prefix cap {DEFAULT_MAX_PREFIX}"
     )

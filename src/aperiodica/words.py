@@ -3,6 +3,8 @@
 A word is a tuple of letter indices into an :class:`Alphabet`; the empty
 tuple is the empty word.  Keeping words as plain tuples makes them
 hashable, cheap to slice and independent of how symbols are spelled.
+The model-set gap word, of at most three letters, is ``bytes`` instead,
+one byte a letter; ``_manacher`` scans both kinds.
 """
 
 from __future__ import annotations
@@ -111,13 +113,19 @@ def _manacher(word, even):
     at a time and the rest as reversed slices in doubling chunks.  The
     first j whose mirror reaches the left end starts from end - j and is
     the next centre, since its palindrome ends no sooner than i's.
+
+    A ``bytes`` word is scanned as bytes, with two byte values it does
+    not hold as its end markers, so it is never copied into a tuple; any
+    other word, or one that holds all 256 byte values, is scanned as a
+    tuple.
     """
     n = len(word)
     d = [0] * n
     base = 1 - even
     nxt, k = 0, base
     # Two distinct end markers stop every expansion: word[-1] and word[n].
-    word, rev = tuple(word) + _ENDS, None
+    free = bytes(range(256)).translate(None, word) if isinstance(word, bytes) else b""
+    word, rev = (word + free[:2] if len(free) > 1 else tuple(word) + _ENDS), None
     for i in range(n):
         if i < nxt:
             continue

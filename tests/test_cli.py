@@ -329,7 +329,7 @@ def test_modelset_palindromes(files, capsys):
     assert data["palindromes"][0]["length"] == data["max_palindrome_length"]
 
 
-def test_only_generate_builds_the_points(files, capsys, monkeypatch):
+def test_no_modelset_action_builds_the_points(files, capsys, monkeypatch):
     patches, walk = [], modelset.enumerate_patch
 
     def recording(*args):
@@ -341,7 +341,8 @@ def test_only_generate_builds_the_points(files, capsys, monkeypatch):
     for action in ("palindromes", "symmetry", "generate"):
         code, data = run_json(capsys, ["modelset", "--spec", spec, "--action", action])
         assert code == 0
-        assert ("coords" in vars(patches[-1])) == (action == "generate")
+        # generate writes the points from the gap word, a batch at a time.
+        assert "coords" not in vars(patches[-1])
         assert data.get("count", len(patches[-1])) == len(patches[-1]) > 100
 
 
@@ -935,15 +936,62 @@ def test_generate_past_the_byte_cap_exits_2_before_the_walk(files, capsys, monke
     [(FIB_SPEC, "2000"), (DIGEST_WINDOWS["sqrt2"], "2000"), (far_window_spec(), "20")]
     + seeded_window_specs(18, 8),
 )
-def test_point_bytes_bound_each_point(files, spec, radius):
+def test_point_bytes_bound_each_point(files, tmp_path, spec, radius):
     # Each point's text, with the comma before it, is at most the bound
     # the byte cap multiplies by the expected count, and not far below.
     field, window, R = cli._load_modelset_spec(files("spec.json", spec), radius)
     patch = modelset.enumerate_patch(field, window, R)
-    text = cli._generate_text({"points": []}, patch.coords, float(field.omega()))
+    out = tmp_path / "points.json"
+    cli._write_generate({"points": []}, patch, float(field.omega()), str(out))
+    text = out.read_text()
     lengths = [len("," + item) for item in re.findall(r"\{[^{}]*\}", text)]
     bound = cli._point_bytes(field, window, R)
     assert bound - 30 < max(lengths) <= bound
+
+
+@pytest.mark.parametrize(
+    "spec, radius, count",
+    [(FIB_SPEC, "1/2", 0), (FIB_SPEC, "1", 1), (DIGEST_WINDOWS["three_gap"], "2000", 2327)],
+)
+def test_generate_writes_the_same_bytes_to_stdout_and_a_file(
+    files, capsys, tmp_path, monkeypatch, spec, radius, count
+):
+    # An empty patch, a one-point patch and a three-gap patch of ten
+    # batches, each also written in batches of 1, 2 and 3 points.
+    path, target = files("spec.json", spec), tmp_path / "out.json"
+    argv = ["modelset", "--spec", path, "--action", "generate", "-R", radius]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    data = json.loads(out)
+    assert data["count"] == len(data["points"]) == count
+    if count > 1:
+        assert set(data["sequence"]) == {"a", "b", "c"}
+    else:
+        assert "sequence" not in data
+    for batch in (cli._POINT_BATCH, 1, 2, 3):
+        monkeypatch.setattr(cli, "_POINT_BATCH", batch)
+        assert cli.main(argv + ["-o", str(target)]) == 0
+        assert target.read_bytes() == out.encode()
+    assert capsys.readouterr().out == ""
+
+
+def test_generate_runs_the_paper_window_under_100_mb(files, tmp_path):
+    # generate held the points, one string a point and the joined text:
+    # the paper window at R = 270000 (about 120000 points, 20.6 MB) peaked
+    # at 106 MiB RSS and died with a MemoryError under a 100 MB
+    # address-space limit.  The points are now written a batch at a time.
+    spec, out = files("paper.json", DIGEST_WINDOWS["paper"]), tmp_path / "out.json"
+    argv = ["modelset", "--spec", spec, "--action", "generate", "-R", "270000", "-o", str(out)]
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (100 << 20, 100 << 20))\n"
+        "from aperiodica import cli\n"
+        f"sys.exit(cli.main({argv!r}))\n"
+    )
+    proc = run_python("-c", code, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(out.read_text())
+    assert data["count"] == len(data["points"]) > 120000
 
 
 def test_byte_cap_leaves_room_for_the_corpus(files):
@@ -1019,6 +1067,22 @@ def test_long_head_cycle_rule_under_400_mb(files, tmp_path):
     assert proc.returncode == 2, proc.stderr
     cap = substitution.DEFAULT_MAX_PREFIX
     assert proc.stderr == f"error: factor set of length 3 did not close within the prefix cap {cap}\n"
+
+
+def test_window_atlas_refuses_a_late_letter_before_any_prefix(files, capsys):
+    # x_25 of x_i -> x_(i+1) x_0, x_25 -> x_0 x_1 first occurs at 2^25,
+    # past DEFAULT_MAX_PREFIX: every doubling prefix up to the cap was
+    # built and scanned before the refusal, 1.7-2.1 s.  The first
+    # positions are now read off the image lengths.
+    symbols = [f"x{i}" for i in range(26)]
+    images = {s: f"{symbols[i + 1]}.x0" for i, s in enumerate(symbols[:-1])}
+    rule = files("cycle26.json", {"alphabet": symbols, "images": dict(images, x25="x0.x1")})
+    start = time.perf_counter()
+    assert cli.main(["atlas", "--rule", rule, "-N", "3", "--method", "window"]) == 2
+    assert time.perf_counter() - start < 0.5
+    cap = substitution.DEFAULT_MAX_PREFIX
+    err = capsys.readouterr().err
+    assert err == f"error: factor set of length 3 did not close within the prefix cap {cap}\n"
 
 
 @pytest.mark.parametrize(

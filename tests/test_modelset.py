@@ -267,7 +267,7 @@ def oracle_patch(lattice, window, radius):
     gap_coords = tuple(sorted(set(steps), key=lambda mn: lattice.point(*mn)))
     index = {mn: i for i, mn in enumerate(gap_coords)}
     first = coords[0] if coords else None
-    oracle = ModelSetPatch(lattice, window, R, first, gap_coords, tuple(index[s] for s in steps))
+    oracle = ModelSetPatch(lattice, window, R, first, gap_coords, bytes(index[s] for s in steps))
     assert oracle.coords == coords
     return oracle
 
@@ -528,27 +528,28 @@ def test_gap_legend_stable_under_doubling_radius():
 
 
 def test_single_gap_patch_gives_constant_word():
-    patch = ModelSetPatch(LAT, fib_window(), Fraction(10), (0, 0), ((1, 0),), (0, 0, 0))
+    patch = ModelSetPatch(LAT, fib_window(), Fraction(10), (0, 0), ((1, 0),), b"\0\0\0")
     assert patch.coords == ((0, 0), (1, 0), (2, 0), (3, 0)) and len(patch) == 4
     assert gap_values(patch) == (GOLDEN.element(1),)
-    assert patch.letters == (0, 0, 0)
+    assert patch.letters == b"\0\0\0"
     # A patch of one point has no gap and an empty gap word.
     single = enumerate_patch(LAT, fib_window(), 1)
-    assert (single.coords, single.gap_coords, single.letters) == (((1, 0),), (), ())
+    assert (single.coords, single.gap_coords, single.letters) == (((1, 0),), (), b"")
 
 
 def test_derived_sequence_factors_match_fibonacci_atlas():
     patch = enumerate_patch(LAT, fib_window(), 1000)
     word = patch.letters
-    swapped = tuple(1 - a for a in word)
+    swapped = bytes(1 - a for a in word)
     chain = atlas_chain(fibonacci_rule(), 12)
     for n in range(1, 13):
         factors = {word[i : i + n] for i in range(len(word) - n + 1)}
         factors_swapped = {swapped[i : i + n] for i in range(len(swapped) - n + 1)}
-        assert factors_swapped == chain[n - 1]
+        atlas = set(map(bytes, chain[n - 1]))
+        assert factors_swapped == atlas
         if n >= 2:
             # only one letter assignment identifies the chain with the rule
-            assert factors != chain[n - 1]
+            assert factors != atlas
 
 
 def test_repetitivity_proxy():
@@ -748,6 +749,54 @@ def test_manacher_on_long_structured_words():
     for name, word in words.items():
         assert len(word) >= 15000, name
         assert (_manacher(word, 0), _manacher(word, 1)) == manacher_oracle(word), name
+
+
+@given(st.integers(0, 2).flatmap(lambda m: st.lists(st.integers(0, m), min_size=1, max_size=300)))
+def test_manacher_scans_bytes_like_tuples(letters):
+    word = tuple(letters)
+    for even in (0, 1):
+        assert _manacher(bytes(word), even) == _manacher(word, even)
+
+
+def test_manacher_on_bytes_gap_words_and_full_byte_range():
+    # The gap words of the benchmark's three window shapes at its
+    # palindromes radius, and a word holding every byte value, which
+    # leaves no byte free for the end markers.
+    sqrt2, a = QuadField(2), Fraction(-3, 17)
+    cases = (
+        (LAT, fib_window()),
+        (LAT, Window(GOLDEN.element(a), GOLDEN.element(a + 1))),
+        (sqrt2, Window(sqrt2.element(a), sqrt2.element(a + Fraction(7, 5)))),
+    )
+    words = [enumerate_patch(lattice, window, 50000).letters for lattice, window in cases]
+    words.append(bytes(range(256)) + bytes(range(255, -1, -1)) + b"\0\1\0")
+    for word in words:
+        assert isinstance(word, bytes) and len(word) > 500
+        for even in (0, 1):
+            assert _manacher(word, even) == _manacher(tuple(word), even)
+
+
+def test_walk_past_the_last_point_raises():
+    # The walk looped while (m, n) differed from the last point, so a step
+    # past it walked on for ever.  Here the last point is moved off the
+    # walk's path: the walk must stop with an error, not hang.
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
+        "from fractions import Fraction\n"
+        "from aperiodica import modelset\n"
+        "rows = modelset._row_points\n"
+        "def moved(lattice, lo, hi, x_lo, x_hi):\n"
+        "    out = rows(lattice, lo, hi, x_lo, x_hi)\n"
+        "    return [(m + 10, n) for m, n in out] if x_hi == 1000 else out\n"
+        "modelset._row_points = moved\n"
+        "field = modelset.QuadField(5, 'golden')\n"
+        "window = modelset.Window(field.element(Fraction(1, 3)), field.element(Fraction(4, 3)))\n"
+        "modelset.enumerate_patch(field, window, 1000)\n"
+    )
+    proc = run_python("-c", code, timeout=20)
+    assert proc.returncode == 1
+    assert "RuntimeError: the walk passed the patch's last point" in proc.stderr
 
 
 def test_rs_binary_palindromes_cap_at_fourteen():

@@ -250,6 +250,25 @@ def test_long_head_cycle_prefix_holds_only_its_letters():
     assert length == 250000 and peak < 8 << 20
 
 
+def test_first_positions_match_the_prefix():
+    # Every admissible seed of seeded rules on 1-6 letters, with caps that
+    # cut the fixed point before, at and after each letter's first position.
+    for rule in random_primitive_rules(200, 25, sizes=range(1, 7)):
+        for s in range(len(rule.alphabet)):
+            try:
+                seed = resolve_seed_and_power(rule, s)[0]
+            except ValueError:
+                continue
+            stream = FixedPointStream(rule, seed)
+            for cap in (1, 2, 3, 5, 17, 64, 1000):
+                word = stream.prefix(cap)
+                expected = [word.index(a) if a in word else cap for a in range(len(rule.alphabet))]
+                assert stream.first_positions(cap) == expected, (rule, seed, cap)
+    # x_i first occurs at 2^i for i >= 2, read without building a word.
+    first = FixedPointStream(long_head_cycle_rule()).first_positions(1 << 30)
+    assert first == [0, 1] + [1 << i for i in range(2, 26)]
+
+
 def test_seed_power_detection():
     # a -> ba, b -> a: the expansion only returns to the seed at power 2
     rule = SubstitutionRule.from_mapping(Alphabet("ab"), {"a": "ba", "b": "a"})
