@@ -3,8 +3,9 @@
 The operator acts as (L u)_n = u_{n+1} + u_{n-1} + x_n u_n with a
 potential x taking finitely many pairwise different values.  Finite
 sections cannot certify the spectral type of the infinite operator;
-everything here is a finite-size observable: eigenvalues certified by
-Sturm counts, the integrated density of states, and transfer matrix
+everything here is a finite-size observable: eigenvalues guessed by one
+QL sweep and certified by count-only Sturm passes, with bisection where
+a guess fails, the integrated density of states, and transfer matrix
 products with overflow-safe renormalization.
 A minimal potential has few distinct factors (n + 1 of length n if
 Sturmian, 8n - 8 for Rudin-Shapiro), so a transfer product builds each
@@ -71,39 +72,21 @@ def build_finite(potential, values, coupling, boundary=BOUNDARY_DIRICHLET):
     return TridiagonalOperator(tuple(diag))
 
 
-def sturm_count(op, x, slope=True):
-    """One pass of the leading-principal-minor recursion at x.
-
-    Returns ``(count, slope)``: the number of pivots q_i = (a_i - x) -
-    1/q_{i-1} below zero, which is the number of eigenvalues strictly
-    below x, and slope = d/dx log|det(T - x)| = sum q_i'/q_i, with
-    q_i' = -1 + q_{i-1}'/q_{i-1}^2 carried in the same loop.  With
-    ``slope=False`` the pass counts only, in about half the time, and
-    returns ``(count, None)``.
+def sturm_count(op, x):
+    """Number of eigenvalues strictly below x: the pivots q_i = (a_i - x) -
+    1/q_{i-1} of the leading-principal-minor recursion that fall below
+    zero, counted in one pass.  A zero pivot is taken as 1e-300.
     """
     count = 0
     r = 0.0  # 1/q of the previous pivot; q = inf before the first, whose pivot is a - x
-    if not slope:
-        for a in op.diagonal:
-            q = (a - x) - r
-            if q < 0.0:
-                count += 1
-            elif q == 0.0:
-                q = 1e-300
-            r = 1.0 / q
-        return count, None
-    total = 0.0
-    dq = 0.0
     for a in op.diagonal:
-        dq = dq * r * r - 1.0
         q = (a - x) - r
-        if q == 0.0:
-            q = 1e-300
         if q < 0.0:
             count += 1
+        elif q == 0.0:
+            q = 1e-300
         r = 1.0 / q
-        total += dq * r
-    return count, total
+    return count
 
 
 def _ql_guesses(diagonal):
@@ -156,21 +139,12 @@ def eigenvalues(op, tol=1e-12):
 
     Every probe's Sturm count is kept, so eigenvalue k starts from the
     tightest bracket any earlier probe gave.  Its QL guess g comes first:
-    count-only probes at g - d and g + d inside the bracket, d = tol/4 and
-    four times as far each round while the bracket is wider than tol and
-    d.  Growing d keeps a guess a few ulps off from pinning one end within
-    ulps of the eigenvalue, where every Newton step would be refused; only
-    counts close a bracket, so a bad guess costs passes, not accuracy.
-    Then a Newton step on det(T - x), x - 1/slope, is taken from the last
-    probe when the bracket holds only eigenvalue k; the Sturm count says
-    which side of the eigenvalue each probe lies on.  A step that leaves
-    the bracket, is not finite, or is longer than half the previous step
-    is replaced by bisection.  A step shorter than tol/4 is not taken: one
-    probe tol/2 beyond the last point closes the bracket instead.  Newton
-    runs on the determinant rather than on the last pivot because the
-    pivot has a pole at each eigenvalue of the leading minor, which sits
-    exponentially close to the eigenvalue when its eigenvector is
-    localised; the determinant has no poles.
+    probes at g - d and g + d inside the bracket, d = tol/4 and four times
+    as far each round while the bracket is wider than tol and d.  Growing d
+    lets a guess off by more than tol/4 still close its bracket from both
+    sides in a few rounds.  Only counts close a bracket, so a bad guess
+    costs passes, not accuracy: bisection closes whatever the guesses
+    leave open, and every bracket when the QL sweep fails.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tolerance must be positive and finite")
@@ -179,6 +153,14 @@ def eigenvalues(op, tol=1e-12):
     # Every probe so far, ascending, with its Sturm count; the bounds
     # count 0 and n without a pass.
     xs, counts = [lo, hi], [0, op.size]
+
+    def probe(y):
+        c = sturm_count(op, y)
+        j = bisect_right(xs, y)
+        xs.insert(j, y)
+        counts.insert(j, c)
+        return c
+
     guesses = _ql_guesses(diagonal)
     out = []
     for k in range(op.size):
@@ -189,39 +171,13 @@ def eigenvalues(op, tol=1e-12):
             while b - a > tol and d < b - a:
                 for y in (g - d, g + d):
                     if a < y < b:
-                        c = sturm_count(op, y, slope=False)[0]
-                        j = bisect_right(xs, y)
-                        xs.insert(j, y)
-                        counts.insert(j, c)
-                        a, b = (y, b) if c <= k else (a, y)
+                        a, b = (y, b) if probe(y) <= k else (a, y)
                 d *= 4.0
-            j = bisect_right(counts, k)
-        isolated = counts[j] - counts[j - 1] == 1
-        x, slope = a, None  # no slope yet: the first probe bisects
         while b - a > tol:
-            mid = 0.5 * a + 0.5 * b  # halves first: the sum may overflow
-            y = mid
-            if isolated and slope and math.isfinite(slope):
-                step = -1.0 / slope
-                if abs(step) < 0.25 * tol:
-                    y = x + math.copysign(0.5 * tol, step)
-                elif abs(step) <= 0.5 * prev:
-                    y = x + step
-                if not a < y < b:
-                    y = mid
+            y = 0.5 * a + 0.5 * b  # halves first: the sum may overflow
             if y == a or y == b:
                 break
-            c, slope = sturm_count(op, y)
-            prev, x = abs(y - x), y
-            j = bisect_right(xs, y)
-            xs.insert(j, y)
-            counts.insert(j, c)
-            if c <= k:
-                a = y
-                isolated = counts[j + 1] - c == 1
-            else:
-                b = y
-                isolated = c - counts[j - 1] == 1
+            a, b = (y, b) if probe(y) <= k else (a, y)
         out.append(0.5 * a + 0.5 * b)
     return out
 

@@ -109,7 +109,7 @@ EXCLUSION_DIGESTS = Path(__file__).parent / "data" / "exclusion_digests.json"
 # data/spectrum_digests_seeded.json: the free operator, Fibonacci and
 # four-letter Rudin-Shapiro potentials, the TSV format, the Neumann
 # boundary and a potential spanning 300 orders of magnitude.  The
-# solve's Newton loop alone, without QL guesses, gives the bytes of
+# solve's bisection alone, without QL guesses, gives the bytes of
 # data/spectrum_digests.json.
 SPECTRUM_RULES = {"fib": FIB_RULE, "rs": RS_RULE}
 SPECTRUM_CASES = [

@@ -91,10 +91,10 @@ def test_sturm_count_brackets_spectrum():
     op = build_finite(fib_prefix(50), FIB_VALUES, 2.0)
     eigs = eigenvalues(op)
     assert len(eigs) == 50
-    assert sturm_count(op, eigs[0] - 1.0)[0] == 0
-    assert sturm_count(op, eigs[-1] + 1.0)[0] == 50
+    assert sturm_count(op, eigs[0] - 1.0) == 0
+    assert sturm_count(op, eigs[-1] + 1.0) == 50
     mid = 0.5 * (eigs[24] + eigs[25])
-    assert sturm_count(op, mid)[0] == 25
+    assert sturm_count(op, mid) == 25
 
 
 def test_eigenvalue_tolerance_validation():
@@ -125,11 +125,10 @@ def test_bisection_stops_at_adjacent_floats():
     assert huge == pytest.approx([0.0, 1.7e308], abs=1e-9)
 
 
-def stress_operators():
-    """Seeded Fibonacci, Rudin-Shapiro and random sections at n = 300 with
+def stress_operators(n=300):
+    """Seeded Fibonacci, Rudin-Shapiro and random sections of n sites with
     ordinary, clustered (1e-7 apart) and large (1e6) values, under both
     boundaries."""
-    n = 300
     rng = random.Random(29)
     fib, rs = fib_prefix(n), quaternary_prefix(n)
     cases = [
@@ -150,9 +149,9 @@ def counting_sturm(monkeypatch):
     passes = [0]
     sturm = spectral.sturm_count
 
-    def counted(op, x, **kwargs):
+    def counted(op, x):
         passes[0] += 1
-        return sturm(op, x, **kwargs)
+        return sturm(op, x)
 
     monkeypatch.setattr(spectral, "sturm_count", counted)
     return passes
@@ -179,20 +178,19 @@ def numpy_eigenvalues(op):
 
 
 def test_eigenvalues_keep_their_brackets(stress_solves):
-    # Guard on the contract: each returned value is the midpoint of a
-    # bracket no wider than tol (or one ulp) holding eigenvalue k.
     for label, op, tol, eigs, _ in stress_solves:
-        assert len(eigs) == op.size
-        for k, e in enumerate(eigs):
-            d = max(tol / 2, math.ulp(e))
-            assert sturm_count(op, e - d)[0] <= k < sturm_count(op, e + d)[0], (label, tol, k)
+        assert_brackets(label, op, tol, eigs)
+
+
+def bisection_passes(op, tol):
+    """Sturm passes that bisection from the global bounds may take."""
+    lo, hi = min(op.diagonal) - 2.0, max(op.diagonal) + 2.0
+    return (math.ceil(math.log2((hi - lo) / tol)) + 2) * op.size
 
 
 def test_stress_solves_need_no_more_passes_than_bisection(stress_solves):
     for label, op, tol, _, passes in stress_solves:
-        lo, hi = min(op.diagonal) - 2.0, max(op.diagonal) + 2.0
-        bisection = math.ceil(math.log2((hi - lo) / tol)) + 2
-        assert passes <= bisection * op.size, (label, tol, passes / op.size)
+        assert passes <= bisection_passes(op, tol), (label, tol, passes / op.size)
 
 
 def test_stress_solves_take_few_passes(stress_solves):
@@ -202,28 +200,34 @@ def test_stress_solves_take_few_passes(stress_solves):
         assert passes <= 7 * op.size, (label, tol, passes / op.size)
 
 
-def test_count_only_pass_matches_the_full_pass():
-    for label, op in stress_operators():
-        eigs = numpy_eigenvalues(op)
-        for x in (*eigs[::37], *(0.5 * (eigs[1:] + eigs[:-1]))[::41], eigs[0] - 1.0):
-            full, slope = sturm_count(op, float(x))
-            assert sturm_count(op, float(x), slope=False) == (full, None), (label, x)
-            assert slope is not None
-
-
 def assert_brackets(label, op, tol, eigs):
     """Each value is the midpoint of a bracket no wider than tol (or one
     ulp) holding eigenvalue k."""
     assert len(eigs) == op.size
     for k, e in enumerate(eigs):
         d = max(tol / 2, math.ulp(e))
-        assert sturm_count(op, e - d)[0] <= k < sturm_count(op, e + d)[0], (label, tol, k)
+        assert sturm_count(op, e - d) <= k < sturm_count(op, e + d), (label, tol, k)
+
+
+def test_bisection_alone_keeps_brackets(monkeypatch):
+    # With no QL guesses every bracket is closed by bisection from the
+    # probes shared so far.
+    passes = counting_sturm(monkeypatch)
+    monkeypatch.setattr(spectral, "_ql_guesses", lambda diagonal: None)
+    tol = 1e-12
+    cases = ("fibonacci/neumann", "clustered/dirichlet", "large rudin-shapiro/dirichlet")
+    for label, op in stress_operators(60):
+        if label in cases:
+            passes[0] = 0
+            eigs = eigenvalues(op, tol=tol)
+            assert_brackets(label, op, tol, eigs)
+            assert passes[0] <= bisection_passes(op, tol), (label, passes[0] / op.size)
 
 
 @pytest.mark.parametrize("hostile", ["off by 1e-9", "shifted by one", "zeros", "nan"])
 def test_hostile_guesses_keep_brackets(monkeypatch, hostile):
     # Whatever the QL sweep returns, only Sturm counts close a bracket:
-    # a guess the counts reject falls through to the Newton loop.
+    # a guess the counts reject falls through to bisection.
     for label, op in stress_operators():
         want = numpy_eigenvalues(op)
         guesses = {
@@ -242,6 +246,10 @@ def test_hostile_guesses_keep_brackets(monkeypatch, hostile):
 
 def test_ql_guesses_on_small_and_overflowing_diagonals():
     assert spectral._ql_guesses((1e308, -1e308)) is None
+    # The pinned CLI case `--values a=-1e300,b=1 --size 20` is solved by
+    # bisection alone.
+    op = build_finite(fib_prefix(20), {0: -1e300, 1: 1.0}, 1.0)
+    assert spectral._ql_guesses(op.diagonal) is None
     assert spectral._ql_guesses((2.5,)) == [2.5]
     got = spectral._ql_guesses((0.0,) * 101)
     assert max(abs(a - b) for a, b in zip(got, free_eigenvalues(101))) < 1e-14
@@ -266,8 +274,8 @@ def test_few_sturm_passes_per_eigenvalue(monkeypatch):
 
 def test_eigenvalues_end_on_hostile_slopes():
     # At x = 0 the free operator of odd size has eigenvalues of leading
-    # minors, so a pivot is replaced by 1e-300 and the slope turns inf or
-    # NaN; on +-1e308 diagonals a - x overflows.
+    # minors, so a pivot is zero and is replaced by 1e-300; on +-1e308
+    # diagonals a - x overflows and the QL sweep fails.
     huge = ((1e308, -1e308), (-1e308, 1e308, -1e308), (1.7e308, -1.7e308, 0.0, 1.7e308))
     proc = run_python(
         "-c",
