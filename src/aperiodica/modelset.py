@@ -9,11 +9,12 @@ All membership, order and symmetry decisions are made in exact
 arithmetic, and every exact sign and order reads one exact floor,
 ``_floor_scaled``.  Global inversion symmetry is decided from the
 window alone; a patch enumerated within a radius R is a finite sample,
-which the gap and palindrome readings work on.  The walk decides each
-step on integers: a linear integer reading of a + b*sqrt(d) that
-decides outside a proven band around the window edges, and an exact
-sign test inside it.  Floats are renderings only; the CLI makes them
-from lattice coordinates (m, n).
+which the gap and palindrome readings work on.  The walk's steps are
+those of the window's interval exchange, found from the window alone,
+and each is decided on integers: a linear integer reading of
+a + b*sqrt(d) decides outside a proven band around the claims' edges,
+and an exact sign test inside it.  Floats are renderings only; the CLI
+makes them from lattice coordinates (m, n).
 """
 
 from __future__ import annotations
@@ -271,16 +272,15 @@ class ModelSetPatch:
     """The points of the cut-and-project set within [-R, R].
 
     ``first`` is the least point's exact (m, n), or None for an empty
-    patch.  ``gap_coords`` holds the distinct steps between consecutive
-    points in increasing order, and ``letters[i]`` is the index in
-    ``gap_coords`` of the step from point i to point i + 1; the walk
-    records both, ``letters`` as ``bytes`` (an interval window has at most
-    three gaps, by the three-distance theorem).  ``iter_coords()`` yields
-    every point's (m, n) in increasing physical position from those, and
-    ``coords`` holds them all, built on first use; the CLI reads only
-    ``iter_coords()``.  A patch is a finite sample: the inversion verdict
-    reads the window alone, and the palindrome and gap readings hold for
-    this patch only.
+    patch.  ``gap_coords`` holds the steps the patch takes, in increasing
+    order: those of the window's interval exchange, at most three by the
+    three-distance theorem.  ``letters[i]`` is the index in ``gap_coords``
+    of the step from point i to point i + 1, as ``bytes``.
+    ``iter_coords()`` yields every point's (m, n) in increasing physical
+    position from those, and ``coords`` holds them all, built on first
+    use; the CLI reads only ``iter_coords()``.  A patch is a finite
+    sample: the inversion verdict reads the window alone, and the
+    palindrome and gap readings hold for this patch only.
     """
 
     lattice: QuadField
@@ -389,36 +389,76 @@ def _coordinate_bounds(lattice, window, radius):
     return (radius + abs(omega) * n_max).floor() + 1, n_max
 
 
+def _gaps(lattice, window, bound):
+    """The steps of the window's interval exchange in increasing order, and
+    whether their claims cover the window.
+
+    A step x -> x + g needs x* + g* in W, so |g*| <= |W|, and g claims
+    W n (W - g*): [lo, hi - g*] if g* > 0, else [lo - g*, hi].  The g in
+    (0, B] are scanned in increasing order, and g is kept when its claim
+    reaches past the earlier claims from its own end, before the claims of
+    the two ends meet; any other g claims only what a kept step claimed
+    first, so x's step is the first kept step whose claim holds x*.  B
+    starts at twice the mean gap |omega - omega*| / |W| and doubles until
+    the claims meet or B reaches ``bound``.  A scan reads min(B, bound) /
+    |omega - omega*| rows, refused with ValueError past MAX_PATCH_POINTS.
+    """
+    width = window.hi - window.lo
+    omega_star = lattice.omega_star()
+    spread = lattice.omega() - omega_star
+    B = (2 * spread / width).ceil()
+    # The claims from lo cover [lo, hi - reach[0]], those from hi [lo + reach[1], hi];
+    # a reach of |W| claims one end alone, which holds no x* in a generic window.
+    empty = width + 1 if check_generic(window, lattice) else width
+    while True:
+        span = min(B, bound)
+        if MAX_PATCH_POINTS * spread < span:
+            raise ValueError(
+                f"the gap scan over (0, {span}] reads more than MAX_PATCH_POINTS = "
+                f"{MAX_PATCH_POINTS} rows: the window is too narrow for this radius"
+            )
+        cands = _row_points(lattice, -width, width, Fraction(0), span)
+        cands.remove((0, 0))
+        cands.sort(key=lambda mn: lattice.point(*mn))
+        steps, reach = [], [empty, empty]
+        for m, n in cands:
+            s = omega_star * n + m
+            end = s.sign() < 0
+            s = -s if end else s
+            if s < reach[end]:
+                reach[end] = s
+                steps.append((m, n))
+                if reach[0] + reach[1] <= width:
+                    return steps, True
+        if bound <= span:
+            return steps, False
+        B *= 2
+
+
 def enumerate_patch(lattice, window, radius):
     """All lattice points z with |z| <= radius whose star image lies in the window.
 
     A radius whose expected point count 2R|W| / |omega - omega*| exceeds
-    ``MAX_PATCH_POINTS`` is refused with ValueError before the walk.
+    ``MAX_PATCH_POINTS`` is refused with ValueError, as is a window whose
+    gap scan ``_gaps`` reads more rows than that.
 
-    The patch is walked gap by gap from its least point: the successor of
-    x is x + g for the smallest lattice g > 0 with x* + g* in the window.
-    Any such g has |g*| <= |W|, so the candidates are every lattice g in
-    (0, B] with |g*| <= |W|, in exact order; when none fits, no point lies
-    in (x, x + B] and B doubles.  No point can be skipped.  The walk ends
-    at the greatest point, found like the least by the row enumeration.
-    Each step reads a + b*sqrt(d) as the integer a*2**K + b*floor(sqrt(d)*2**K),
-    which is linear and within |b| of the true value times 2**K, so a
-    reading farther than that bound from both window edges decides and an
-    exact integer sign test decides the rest.  Doubling B only appends
-    larger candidates, so each step is recorded as a candidate's index,
-    and the gap word is read off those indices.
+    The walk goes from the least point to the greatest, each found in a
+    strip as wide as the longest step at -R and R (the whole patch if the
+    steps' claims do not cover W), and steps from x by the first step g of
+    ``_gaps`` with x* + g* in W.  It reads a + b*sqrt(d) as the integer
+    a*2**K + b*floor(sqrt(d)*2**K), linear and within |b| of the true value
+    times 2**K, so each step takes the readings of one constant integer
+    interval: x* + g* in W and x* outside the earlier steps' claims, each
+    by more than that error.  Exact sign tests, trying the steps in order,
+    decide a reading outside every interval.
 
-    The reading moves by a constant per candidate, so BLOCK steps in a row
-    decided by the readings alone are decided the same way from every
-    reading in one integer interval: the chosen candidates' inside ranges
-    and the skipped ones' sides, each shifted back by the block's partial
-    sums.  The walk stores such a block under that interval and, from a
-    later point whose reading lies in it, takes the block in one jump once
-    an exact test shows that the block's last point is within R; every
-    point it passes is then a patch point, whose reading keeps the proven
-    error.  A block that needed an exact test is not stored, and doubling
-    B empties the table.  Only the first point and the gap word are kept;
-    ``ModelSetPatch.coords`` builds the points on demand.
+    BLOCK steps in a row decided by their intervals are decided the same
+    way from every reading in the intersection of those intervals, shifted
+    back by the block's partial sums.  The walk stores the block under
+    that interval and takes it in one jump from a later reading inside it,
+    once an exact test shows that its last point is within R, so every
+    point it passes is a patch point.  Only the first point and the gap
+    word are kept; ``ModelSetPatch.coords`` builds the points on demand.
     """
     R = Fraction(radius)
     if R <= 0:
@@ -427,29 +467,21 @@ def enumerate_patch(lattice, window, radius):
     if window.lo.d != d:
         raise ValueError("window and lattice use different fields")
     lo, hi = window.lo, window.hi
-    width = hi - lo
     if expected_count(lattice, window, R) > MAX_PATCH_POINTS:
         raise ValueError(
             f"radius R = {R} expects more than {MAX_PATCH_POINTS} points "
             f"(2R|W|/|omega - omega*|), the patch cap MAX_PATCH_POINTS"
         )
     exact = lattice.point
-
-    def extreme(pick, x_lo, x_hi):
-        rows = _row_points(lattice, lo, hi, max(x_lo, -R), min(x_hi, R))
-        return pick(rows, key=lambda mn: exact(*mn)) if rows else None
-
-    B = Fraction(1)
-    first = extreme(min, -R, -R + B)
-    while first is None and -R + B < R:
-        B *= 2
-        first = extreme(min, -R, -R + B)
-    if first is None:
+    gaps, met = _gaps(lattice, window, 2 * R)
+    strip = exact(*gaps[-1]).ceil() if met else 2 * R
+    rows = _row_points(lattice, lo, hi, -R, min(-R + strip, R))
+    if not rows:
         return ModelSetPatch(lattice, window, R, None, (), b"")
-    last = extreme(max, R - B, R)
-    while last is None:
-        B *= 2
-        last = extreme(max, R - B, R)
+    first = min(rows, key=lambda mn: exact(*mn))
+    if strip < 2 * R:
+        rows = _row_points(lattice, lo, hi, R - strip, R)
+    last = max(rows, key=lambda mn: exact(*mn))
 
     # Over a common denominator S, m + n*omega lies in the patch's window
     # iff la + lb*sqrt(d) <= (S*m + n*sp) + n*sq*sqrt(d) <= ha + hb*sqrt(d).
@@ -462,37 +494,24 @@ def enumerate_patch(lattice, window, radius):
         a, b = scale * m + n * sp, n * sq
         return _floor_scaled(a - la, b - lb, 1, d) >= 0 and _floor_scaled(ha - a, hb - b, 1, d) >= 0
 
-    # Every patch point has |n*sq| <= ub_max, so a candidate x + g read
-    # against an edge has |b| <= ub_max + |gn*sq| + max(|lb|, |hb|).
+    # Every patch point has |n*sq| <= ub_max, so a step x + g read against
+    # an edge has |b| <= ub_max + |gn*sq| + max(|lb|, |hb|): the band.
     ub_max = _coordinate_bounds(lattice, window, R)[1] * abs(sq)
     edge = max(abs(lb), abs(hb))
     K = max(ub_max, edge).bit_length() + 24
     root = math.isqrt(d << 2 * K)
     per_m, per_n = scale << K, (sp << K) + sq * root
     low, high = (la << K) + lb * root, (ha << K) + hb * root
-
-    def candidates():
-        gaps = _row_points(lattice, -width, width, Fraction(0), B)
-        gaps.remove((0, 0))
-        gaps.sort(key=lambda mn: exact(*mn))
-        band = ub_max + max((abs(gn) for _, gn in gaps), default=0) * abs(sq) + edge + 1
-        out = []
-        for i, (gm, gn) in enumerate(gaps):
-            g = gm * per_m + gn * per_n
-            out.append((i, gm, gn, g, low + band - g, high - band - g, low - band - g, high + band - g))
-        return out
-
-    def decided(u, i):
-        """The integer interval of readings on which each of candidates
-        0..i-1 reads outside its band on u's side and candidate i inside
-        its own, for a reading u that does so."""
-        lo, hi = cands[i][4] + 1, cands[i][5] - 1
-        for c in cands[:i]:
-            if u < c[6]:
-                hi = min(hi, c[6] - 1)
-            else:
-                lo = max(lo, c[7] + 1)
-        return lo, hi
+    band = ub_max + max((abs(gn) for _, gn in gaps), default=0) * abs(sq) + edge + 1
+    # Each interval lies past the earlier steps' claims from lo and short of those from hi.
+    table, past_lo, past_hi = [], math.inf, -math.inf
+    for i, (gm, gn) in enumerate(gaps):
+        g = gm * per_m + gn * per_n
+        table.append((i, gm, gn, g, max(low + band - g + 1, past_hi), min(high - band - g - 1, past_lo)))
+        if (omega_star * gn + gm).sign() > 0:
+            past_hi = max(past_hi, high + band - g + 1)
+        else:
+            past_lo = min(past_lo, low - band - g - 1)
 
     # m + n*omega <= R iff (R - m - n*wp) * rs - n*wq*rs*sqrt(d) >= 0.
     omega = lattice.omega()
@@ -502,29 +521,22 @@ def enumerate_patch(lattice, window, radius):
     def within(m, n):
         return _floor_scaled(ra - rs * m - n * wp, -n * wq, 1, d) >= 0
 
-    def step_bound():
-        """More steps than a correct walk takes: each step covers at least
-        the shortest candidate, which doubling B keeps, and the walk spans
-        at most 2R."""
-        return (lattice.element(2 * R) / exact(*cands[0][1:3])).floor() if cands else 0
-
-    cands = candidates()
-    max_steps = step_bound()
+    # Each step covers at least the shortest one and the walk spans at most
+    # 2R, so a walk of more steps has passed its last point.
+    max_steps = (lattice.element(2 * R) / exact(*gaps[0])).floor() if gaps else 0
+    passed = f"the walk passed the patch's last point {last}"
     (m, n), (end_m, end_n) = first, last
     u = m * per_m + n * per_n
-    steps = []
     # The block table: starts[k] <= u <= end takes blocks[k] = (end, word,
     # dm, dn, du) in one jump.  The run of steps since steps[run_at], from
-    # (um, m0, n0), is decided on integers for every reading in [run_lo,
-    # run_hi]; spans[i] caches the last interval decided() gave for i.
-    starts, blocks, spans = [], [], [(1, 0)] * len(cands)
-    run_at, near_end = 0, False
+    # (um, m0, n0), is decided for every reading in [run_lo, run_hi].
+    steps, starts, blocks, run_at, near_end = [], [], [], 0, False
     while m != end_m or n != end_n:
         if len(steps) == run_at:
             # A run starts at least every BLOCK steps, so a walk that passed
             # the last point stops here within BLOCK steps of the bound.
             if run_at > max_steps:
-                raise RuntimeError(f"the walk passed the patch's last point {last}")
+                raise RuntimeError(passed)
             if not near_end:
                 k = bisect_right(starts, u) - 1
                 if k >= 0 and u <= blocks[k][0]:
@@ -536,33 +548,21 @@ def enumerate_patch(lattice, window, radius):
                         continue
                     near_end = True
             um, m0, n0, run_lo, run_hi = u, m, n, -math.inf, math.inf
-        banded = False
-        for i, gm, gn, g, inside_lo, inside_hi, outside_lo, outside_hi in cands:
-            if inside_lo < u < inside_hi:
+        for i, gm, gn, g, a, b in table:
+            if a <= u <= b:
                 break
-            if outside_lo <= u <= outside_hi:
-                banded = True
+        else:
+            for i, gm, gn, g, a, b in table:
                 if fits(m + gm, n + gn):
                     break
-        else:
-            B *= 2
-            cands = candidates()
-            max_steps = step_bound()
-            starts, blocks, spans, run_at = [], [], [(1, 0)] * len(cands), len(steps)
-            continue
-        if banded or near_end:
-            run_at = len(steps) + 1
-        else:
-            lo_i, hi_i = spans[i]
-            if not lo_i <= u <= hi_i:
-                lo_i, hi_i = spans[i] = decided(u, i)
-            if lo_i - u + um > run_lo:
-                run_lo = lo_i - u + um
-            if hi_i - u + um < run_hi:
-                run_hi = hi_i - u + um
-        m += gm
-        n += gn
-        u += g
+            else:
+                raise RuntimeError(passed)
+            run_at = len(steps) + 1  # so no stored block needs an exact test
+        if a - u + um > run_lo:
+            run_lo = a - u + um
+        if b - u + um < run_hi:
+            run_hi = b - u + um
+        m, n, u = m + gm, n + gn, u + g
         steps.append(i)
         if len(steps) - run_at == BLOCK:
             k = bisect_right(starts, run_lo)
@@ -571,7 +571,7 @@ def enumerate_patch(lattice, window, radius):
             run_at = len(steps)
     used = sorted(set(steps))
     rank = dict(zip(used, range(len(used))))
-    gap_coords = tuple(cands[i][1:3] for i in used)
+    gap_coords = tuple(gaps[i] for i in used)
     letters = bytes(map(rank.__getitem__, steps))
     return ModelSetPatch(lattice, window, R, first, gap_coords, letters)
 

@@ -884,6 +884,38 @@ def test_modelset_radius_past_the_patch_cap_exits_2(files):
     assert "more than 250000 points" in proc.stderr and "MAX_PATCH_POINTS" in proc.stderr
 
 
+def sparse_spec(digits):
+    """The paper window cut to [1/3, 1/3 + 10**-digits]: about
+    2R * 10**-digits / sqrt(5) points within R."""
+    return dict(FIB_SPEC, window={"lo": "1/3", "hi": f"{10**digits + 3}/{3 * 10**digits}"})
+
+
+@pytest.mark.parametrize("digits, radius", [(6, "1000000"), (9, "1000000000")])
+def test_modelset_sparse_window_is_refused_before_its_scans(files, digits, radius):
+    # About one point lies within R, but finding it read every row of a
+    # strip 2R wide, 2R / sqrt(5) rows: 12 s at 10**-6, and still running
+    # after 5 minutes at 10**-9.  The gap scan refuses a width past
+    # MAX_PATCH_POINTS rows before it starts.
+    spec = files("sparse.json", sparse_spec(digits))
+    argv = ["modelset", "--spec", spec, "--action", "symmetry", "-R", radius]
+    proc = run_python("-m", "aperiodica.cli", *argv, timeout=20)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"error: the gap scan over (0, {2 * int(radius)}] reads more than ")
+    assert "MAX_PATCH_POINTS = 250000 rows" in proc.stderr
+
+
+def test_modelset_sparse_window_within_the_scan_cap_is_served(files):
+    # 2R / sqrt(5) is about 89000 rows at R = 10**5, under the cap.
+    spec = files("sparse.json", sparse_spec(5))
+    argv = ["modelset", "--spec", spec, "--action", "generate", "-R", "100000"]
+    proc = run_python("-m", "aperiodica.cli", *argv, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    field, window, radius = cli._load_modelset_spec(spec, "100000")
+    rows = modelset._row_points(field, window.lo, window.hi, -radius, radius)
+    points = [(p["m"], p["n"]) for p in json.loads(proc.stdout)["points"]]
+    assert points == sorted(rows, key=lambda mn: field.point(*mn))
+
+
 @pytest.mark.parametrize(
     "radius, lo", [("1e99999999", "1/3"), ("1e-99999999", "1/3"), ("20", "1e99999999"), ("1e5000", "1/3")]
 )

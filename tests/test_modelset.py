@@ -411,27 +411,86 @@ def test_walk_keeps_boundary_points_far_out():
         assert set(ends) <= set(walked.coords)
 
 
+def acceptance_windows():
+    """Eight two- and three-gap acceptance windows over Q(sqrt d) for
+    d = 2, 3, 5, 7 and 13."""
+    sqrt2, sqrt3, sqrt7, golden13 = QuadField(2), QuadField(3), QuadField(7), QuadField(13, OMEGA_GOLDEN)
+    out = []
+    for field, lo, hi in (
+        (GOLDEN, Fraction(-1, 2), Fraction(1, 2)),
+        (GOLDEN, Fraction(1, 3), Fraction(4, 3)),
+        (GOLDEN, Fraction(-3, 5), Fraction(7, 10)),
+        (sqrt2, Fraction(-1, 2), Fraction(1, 2)),
+        (sqrt2, Fraction(1, 5), Fraction(8, 5)),
+        (sqrt3, Fraction(1, 10), Fraction(7, 5)),
+        (sqrt7, Fraction(-2, 3), Fraction(5, 4)),
+        (golden13, Fraction(-1, 7), Fraction(9, 8)),
+    ):
+        out.append((field, Window(field.element(lo), field.element(hi))))
+    return out
+
+
+def scan_windows(count, seed=27):
+    """``count`` seeded windows over d = 2, 3, 5, 7, 13, both omega styles,
+    every third one not generic: random_window's draws cut to a quarter of
+    their length, so that the row oracle stays cheap at R = 3000."""
+    rng = random.Random(seed)
+    out = []
+    for trial in range(count):
+        field = QuadField((2, 3, 5, 7, 13)[trial % 5], ("sqrt", OMEGA_GOLDEN)[trial // 5 % 2])
+        generic = trial % 3 != 0
+        while True:
+            drawn = random_window(rng, field, generic)
+            window = Window(drawn.lo, drawn.lo + (drawn.hi - drawn.lo) / 4)
+            if (not check_generic(window, field)) == generic:
+                break
+        out.append((field, window))
+    return out
+
+
+def assert_claims_cover(lattice, window, steps):
+    """Each step g claims W n (W - g*), one closed interval at an end of W;
+    together, checked exactly, the claims cover W."""
+    claims = []
+    for mn in steps:
+        g = star(lattice.point(*mn))
+        assert abs(g) <= window.hi - window.lo
+        claims.append((window.lo, window.hi - g) if g > 0 else (window.lo - g, window.hi))
+    reach = window.lo
+    for a, b in sorted(claims):
+        assert not reach < a
+        reach = max(reach, b)
+    assert reach == window.hi
+
+
+def test_gap_scan_gives_the_interval_exchange():
+    windows = acceptance_windows() + scan_windows(120)
+    assert len([w for f, w in windows if check_generic(w, f)]) == 40
+    for field, window in windows:
+        steps, met = modelset._gaps(field, window, Fraction(120000))
+        assert met and 2 <= len(steps) <= 3
+        assert sorted(steps, key=lambda mn: field.point(*mn)) == steps
+        assert_claims_cover(field, window, steps)
+        assert enumerate_patch(field, window, 60000).gap_coords == tuple(steps)
+        for radius in (3, 50, 3000):
+            assert_walk_matches_oracle(field, window, radius)
+
+
 def counting_walk(monkeypatch):
     """Record the block table's size at each of the walk's bisections (a
-    lookup or an insertion) and the B of each candidate list it builds."""
-    sizes, candidate_lists = [], []
+    lookup or an insertion)."""
+    sizes = []
 
     def bisect_right(a, x):
         sizes.append(len(a))
         return bisect.bisect_right(a, x)
 
-    def row_points(lattice, lo, hi, x_lo, x_hi):
-        if x_lo == 0:
-            candidate_lists.append(x_hi)
-        return _row_points(lattice, lo, hi, x_lo, x_hi)
-
     monkeypatch.setattr(modelset, "bisect_right", bisect_right)
-    monkeypatch.setattr(modelset, "_row_points", row_points)
-    return sizes, candidate_lists
+    return sizes
 
 
 def test_block_walk_matches_row_enumeration(monkeypatch):
-    sizes, _ = counting_walk(monkeypatch)
+    sizes = counting_walk(monkeypatch)
     sqrt2, sqrt13 = QuadField(2), QuadField(13)
     for lattice, lo, hi, gaps in (
         (LAT, LAT.element(Fraction(1, 3)), LAT.element(Fraction(4, 3)), 2),
@@ -470,22 +529,18 @@ def test_block_walk_decides_near_misses_and_boundary_points_exactly(monkeypatch,
     assert (0, 0) in assert_walk_matches_oracle(LAT, nongeneric, 600).coords
 
 
-def test_block_walk_across_doublings_of_b(monkeypatch):
+def test_block_walk_on_narrow_symmetric_windows():
     # A narrow window centred on 0 gives a model set symmetric about 0.  With
     # R the ceiling of a point's |z|, the first and last points lie within
-    # 1 of -R and R, so the walk starts at B = 1 below the shortest gap,
-    # and B doubles mid-walk, emptying the block table.
-    _, candidate_lists = counting_walk(monkeypatch)
+    # 1 of -R and R, far closer than the longest step.
     for trial in range(8):
         field = QuadField((2, 3, 5, 7)[trial % 4], ("sqrt", OMEGA_GOLDEN)[trial // 4])
         half = field.element(Fraction(1, 50 + 7 * trial))
         window = Window(-half, half)
         far = enumerate_patch(field, window, 30000).coords[-1]
         radius = field.point(*far).ceil()
-        candidate_lists.clear()
         walked = assert_walk_matches_oracle(field, window, radius)
         assert far in walked.coords and len(walked) > 5 * modelset.BLOCK
-        assert candidate_lists[0] == 1 and len(candidate_lists) >= 5
 
 
 def test_patch_cap_follows_the_expected_point_count(monkeypatch):
