@@ -9,12 +9,12 @@ All membership, order and symmetry decisions are made in exact
 arithmetic, and every exact sign and order reads one exact floor,
 ``_floor_scaled``.  Global inversion symmetry is decided from the
 window alone; a patch enumerated within a radius R is a finite sample,
-which the gap and palindrome readings work on.  The walk's steps are
-those of the window's interval exchange, found from the window alone,
-and each is decided on integers: a linear integer reading of
-a + b*sqrt(d) decides outside a proven band around the claims' edges,
-and an exact sign test inside it.  Floats are renderings only; the CLI
-makes them from lattice coordinates (m, n).
+which the gap and palindrome readings work on.  The walk takes the
+steps of the window's interval exchange, found from the window alone,
+until one passes R, and decides each on integers: a linear integer
+reading of a + b*sqrt(d) decides outside a proven band around the
+claims' edges, and an exact sign test inside it.  Floats are
+renderings only; the CLI makes them from lattice coordinates (m, n).
 """
 
 from __future__ import annotations
@@ -442,12 +442,15 @@ def enumerate_patch(lattice, window, radius):
     ``MAX_PATCH_POINTS`` is refused with ValueError, as is a window whose
     gap scan ``_gaps`` reads more rows than that.
 
-    The walk goes from the least point to the greatest, each found in a
-    strip as wide as the longest step at -R and R (the whole patch if the
-    steps' claims do not cover W), and steps from x by the first step g of
-    ``_gaps`` with x* + g* in W.  It reads a + b*sqrt(d) as the integer
-    a*2**K + b*floor(sqrt(d)*2**K), linear and within |b| of the true value
-    times 2**K, so each step takes the readings of one constant integer
+    The walk starts at the least point, found in a strip at -R as wide as
+    the longest step (the whole patch if the steps' claims do not cover
+    W), and steps from x by the first step g of ``_gaps`` with x* + g* in
+    W until a step passes R.  A point m + n*omega is z* + n*(omega -
+    omega*) with z* <= hi, so it is within R if its row n is at most
+    n_safe = floor((R - hi) / (omega - omega*)); only higher rows take an
+    exact test.  The walk reads a + b*sqrt(d) as the integer a*2**K +
+    b*floor(sqrt(d)*2**K), linear and within |b| of the true value times
+    2**K, so each step takes the readings of one constant integer
     interval: x* + g* in W and x* outside the earlier steps' claims, each
     by more than that error.  Exact sign tests, trying the steps in order,
     decide a reading outside every interval.
@@ -455,10 +458,10 @@ def enumerate_patch(lattice, window, radius):
     BLOCK steps in a row decided by their intervals are decided the same
     way from every reading in the intersection of those intervals, shifted
     back by the block's partial sums.  The walk stores the block under
-    that interval and takes it in one jump from a later reading inside it,
-    once an exact test shows that its last point is within R, so every
-    point it passes is a patch point.  Only the first point and the gap
-    word are kept; ``ModelSetPatch.coords`` builds the points on demand.
+    that interval and takes it in one jump from a later reading inside it
+    when the block ends in a row at most n_safe, so every point it passes
+    is a patch point.  Only the first point and the gap word are kept;
+    ``ModelSetPatch.coords`` builds the points on demand.
     """
     R = Fraction(radius)
     if R <= 0:
@@ -472,16 +475,12 @@ def enumerate_patch(lattice, window, radius):
             f"radius R = {R} expects more than {MAX_PATCH_POINTS} points "
             f"(2R|W|/|omega - omega*|), the patch cap MAX_PATCH_POINTS"
         )
-    exact = lattice.point
     gaps, met = _gaps(lattice, window, 2 * R)
-    strip = exact(*gaps[-1]).ceil() if met else 2 * R
+    strip = lattice.point(*gaps[-1]).ceil() if met else 2 * R
     rows = _row_points(lattice, lo, hi, -R, min(-R + strip, R))
     if not rows:
         return ModelSetPatch(lattice, window, R, None, (), b"")
-    first = min(rows, key=lambda mn: exact(*mn))
-    if strip < 2 * R:
-        rows = _row_points(lattice, lo, hi, R - strip, R)
-    last = max(rows, key=lambda mn: exact(*mn))
+    first = min(rows, key=lambda mn: lattice.point(*mn))
 
     # Over a common denominator S, m + n*omega lies in the patch's window
     # iff la + lb*sqrt(d) <= (S*m + n*sp) + n*sq*sqrt(d) <= ha + hb*sqrt(d).
@@ -513,40 +512,31 @@ def enumerate_patch(lattice, window, radius):
         else:
             past_lo = min(past_lo, low - band - g - 1)
 
-    # m + n*omega <= R iff (R - m - n*wp) * rs - n*wq*rs*sqrt(d) >= 0.
+    # Rows up to n_safe are within R; above it, m + n*omega <= R iff
+    # (R - m - n*wp) * rs - n*wq*rs*sqrt(d) >= 0.
     omega = lattice.omega()
+    n_safe = ((-hi + R) / (omega - omega_star)).floor()
     rs = math.lcm(R.denominator, omega.p.denominator, omega.q.denominator)
     ra, wp, wq = int(R * rs), int(omega.p * rs), int(omega.q * rs)
 
     def within(m, n):
         return _floor_scaled(ra - rs * m - n * wp, -n * wq, 1, d) >= 0
 
-    # Each step covers at least the shortest one and the walk spans at most
-    # 2R, so a walk of more steps has passed its last point.
-    max_steps = (lattice.element(2 * R) / exact(*gaps[0])).floor() if gaps else 0
-    passed = f"the walk passed the patch's last point {last}"
-    (m, n), (end_m, end_n) = first, last
+    m, n = first
     u = m * per_m + n * per_n
     # The block table: starts[k] <= u <= end takes blocks[k] = (end, word,
     # dm, dn, du) in one jump.  The run of steps since steps[run_at], from
     # (um, m0, n0), is decided for every reading in [run_lo, run_hi].
-    steps, starts, blocks, run_at, near_end = [], [], [], 0, False
-    while m != end_m or n != end_n:
+    steps, starts, blocks, run_at = [], [], [], 0
+    while True:
         if len(steps) == run_at:
-            # A run starts at least every BLOCK steps, so a walk that passed
-            # the last point stops here within BLOCK steps of the bound.
-            if run_at > max_steps:
-                raise RuntimeError(passed)
-            if not near_end:
-                k = bisect_right(starts, u) - 1
-                if k >= 0 and u <= blocks[k][0]:
-                    _, word, dm, dn, du = blocks[k]
-                    if within(m + dm, n + dn):
-                        steps += word
-                        m, n, u = m + dm, n + dn, u + du
-                        run_at = len(steps)
-                        continue
-                    near_end = True
+            k = bisect_right(starts, u) - 1
+            if k >= 0 and u <= blocks[k][0] and n + blocks[k][3] <= n_safe:
+                _, word, dm, dn, du = blocks[k]
+                steps += word
+                m, n, u = m + dm, n + dn, u + du
+                run_at = len(steps)
+                continue
             um, m0, n0, run_lo, run_hi = u, m, n, -math.inf, math.inf
         for i, gm, gn, g, a, b in table:
             if a <= u <= b:
@@ -556,8 +546,13 @@ def enumerate_patch(lattice, window, radius):
                 if fits(m + gm, n + gn):
                     break
             else:
-                raise RuntimeError(passed)
+                # Claims that cover W leave no x* unclaimed; else x's next point is over 2R on.
+                if met:
+                    raise RuntimeError(f"no step of the window's interval exchange fits at {(m, n)}")
+                break
             run_at = len(steps) + 1  # so no stored block needs an exact test
+        if n + gn > n_safe and not within(m + gm, n + gn):
+            break
         if a - u + um > run_lo:
             run_lo = a - u + um
         if b - u + um < run_hi:

@@ -56,6 +56,9 @@ class SubstitutionRule:
         missing = [s for s in alphabet.symbols if s not in images]
         if missing:
             raise ValueError(f"missing images for {missing}")
+        foreign = [s for s in images if s not in alphabet.symbols]
+        if foreign:
+            raise ValueError(f"images for symbols outside the alphabet: {foreign}")
         return cls(alphabet, tuple(alphabet.word(images[s]) for s in alphabet.symbols))
 
 

@@ -803,6 +803,8 @@ RULE_ARGV = ["exclude", "--nmax", "5", "--rule"]
         (SPEC_ARGV, '{"d": 5, "window": {"hi": "4/3"}}'),
         (SPEC_ARGV, '{"d": 5, "window": {"lo": "1/3"}}'),
         (RULE_ARGV, '{"alphabet": ["a", "b"]}'),
+        # An image for a symbol outside the alphabet was once dropped unread.
+        (RULE_ARGV, '{"alphabet": ["a", "b"], "images": {"a": "ab", "b": "a", "c": "x"}}'),
     ],
 )
 def test_malformed_input_file_exits_2(tmp_path, capsys, argv, text):

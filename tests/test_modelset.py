@@ -831,10 +831,10 @@ def test_manacher_on_bytes_gap_words_and_full_byte_range():
             assert _manacher(word, even) == _manacher(tuple(word), even)
 
 
-def test_walk_past_the_last_point_raises():
-    # The walk looped while (m, n) differed from the last point, so a step
-    # past it walked on for ever.  Here the last point is moved off the
-    # walk's path: the walk must stop with an error, not hang.
+def test_walk_from_a_moved_first_point_raises():
+    # The walk's steps cover the window, so a point where none fits is a
+    # defect.  Here the first point is moved off the model set: the walk
+    # must stop with an error, not hang or walk on.
     code = (
         "import resource\n"
         "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
@@ -843,7 +843,7 @@ def test_walk_past_the_last_point_raises():
         "rows = modelset._row_points\n"
         "def moved(lattice, lo, hi, x_lo, x_hi):\n"
         "    out = rows(lattice, lo, hi, x_lo, x_hi)\n"
-        "    return [(m + 10, n) for m, n in out] if x_hi == 1000 else out\n"
+        "    return [(m + 10, n) for m, n in out] if x_lo == -1000 else out\n"
         "modelset._row_points = moved\n"
         "field = modelset.QuadField(5, 'golden')\n"
         "window = modelset.Window(field.element(Fraction(1, 3)), field.element(Fraction(4, 3)))\n"
@@ -851,7 +851,64 @@ def test_walk_past_the_last_point_raises():
     )
     proc = run_python("-c", code, timeout=20)
     assert proc.returncode == 1
-    assert "RuntimeError: the walk passed the patch's last point" in proc.stderr
+    assert "RuntimeError: no step of the window's interval exchange fits" in proc.stderr
+
+
+def test_walk_decides_the_last_step_exactly_above_the_safe_row():
+    # R just above or just below a point z near R: z's row is past
+    # n_safe = floor((R - hi) / (omega - omega*)), so only the exact test
+    # against R keeps z in or out, and the step after z, past R, ends the
+    # walk.
+    three_gap = Window(GOLDEN.element(Fraction(-3, 5)), GOLDEN.element(Fraction(7, 10)))
+    for window in (fib_window(), three_gap):
+        coords = enumerate_patch(LAT, window, 1000).coords
+        for mn in coords[-6:]:
+            z = LAT.point(*mn) * 10**30
+            above, below = Fraction(z.ceil(), 10**30), Fraction(z.floor(), 10**30)
+            assert mn[1] > ((-window.hi + above) / (TAU - star(TAU))).floor()
+            assert assert_walk_matches_oracle(LAT, window, above).coords[-1] == mn
+            assert mn not in assert_walk_matches_oracle(LAT, window, below).coords
+
+
+def test_walk_ends_where_the_claims_do_not_meet():
+    # The claims do not meet within 2R, yet the patch holds two points.
+    # From the last point either a found step passes R ([1/5, 8/5] over
+    # Q(sqrt 2)), or no found step fits ([-2/3, 5/4] over Q(sqrt 7)): the
+    # walk ends there without an error.
+    sqrt2, sqrt7 = QuadField(2), QuadField(7)
+    for lattice, lo, hi, fits in (
+        (sqrt2, Fraction(1, 5), Fraction(8, 5), True),
+        (sqrt7, Fraction(-2, 3), Fraction(5, 4), False),
+    ):
+        window = Window(lattice.element(lo), lattice.element(hi))
+        radius = Fraction(3, 2)
+        steps, met = modelset._gaps(lattice, window, 2 * radius)
+        assert not met
+        walked = assert_walk_matches_oracle(lattice, window, radius)
+        assert len(walked) == 2
+        m, n = walked.coords[-1]
+        assert any(window.contains(star(lattice.point(m + gm, n + gn))) for gm, gn in steps) == fits
+
+
+def test_walk_scans_one_strip(monkeypatch):
+    # Outside _gaps, the walk reads one row strip: the one at -R that
+    # holds its first point.  The walk finds its last point by stepping.
+    three_gap = Window(GOLDEN.element(Fraction(-3, 5)), GOLDEN.element(Fraction(7, 10)))
+    for window in (fib_window(), three_gap):
+        oracle = oracle_patch(LAT, window, 3000)
+        gaps = modelset._gaps(LAT, window, Fraction(6000))
+        calls = []
+
+        def rows(*args):
+            calls.append(args[3:])
+            return _row_points(*args)
+
+        monkeypatch.setattr(modelset, "_gaps", lambda lattice, window, bound: gaps)
+        monkeypatch.setattr(modelset, "_row_points", rows)
+        walked = enumerate_patch(LAT, window, 3000)
+        monkeypatch.undo()
+        assert len(calls) == 1 and calls[0][0] == -3000
+        assert walked.coords == oracle.coords and walked.letters == oracle.letters
 
 
 def test_rs_binary_palindromes_cap_at_fourteen():

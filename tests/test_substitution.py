@@ -73,6 +73,9 @@ def test_rule_from_dict():
     assert seed is None
     with pytest.raises(ValueError):
         rule_from_dict({"alphabet": ["a", "b"], "images": {"a": "ab"}})
+    # An image for a symbol outside the alphabet was once dropped unread.
+    with pytest.raises(ValueError, match=r"outside the alphabet: \['c'\]"):
+        rule_from_dict({"alphabet": ["a", "b"], "images": {"a": "ab", "b": "a", "c": "x"}})
 
 
 def test_apply_examples():
