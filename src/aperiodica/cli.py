@@ -267,8 +267,11 @@ MAX_GENERATE_BYTES = 50_000_000
 def _point_bytes(field, window, radius):
     """An upper bound on the text of one point of a patch within radius
     R: 81 bytes with a 24-byte value and both signs, and the digits of
-    the largest |m| and |n|, at most 0.30103*b + 1 for b bits."""
-    bounds = modelset._coordinate_bounds(field, window, radius)
+    |m| and |n|, at most 0.30103*b + 1 for b bits, with |z| <= R and
+    |z*| <= |lo| + |hi|: |n| = |z - z*| / |omega - omega*|, |m| = |z - n*omega|."""
+    omega = field.omega()
+    n_max = ((radius + abs(window.lo) + abs(window.hi)) / (omega - field.omega_star())).floor() + 1
+    bounds = ((radius + abs(omega) * n_max).floor() + 1, n_max)
     return 81 + sum(int(k.bit_length() * 0.30103) + 1 for k in bounds)
 
 

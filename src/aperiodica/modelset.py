@@ -9,23 +9,19 @@ All membership, order and symmetry decisions are made in exact
 arithmetic, and every exact sign and order reads one exact floor,
 ``_floor_scaled``.  Global inversion symmetry is decided from the
 window alone; a patch enumerated within a radius R is a finite sample,
-which the gap and palindrome readings work on.  The walk takes the
-steps of the window's interval exchange, found from the window alone,
-until one passes R, and decides each on integers: a linear integer
-reading of a + b*sqrt(d) decides outside a proven band around the
-claims' edges, and an exact sign test inside it.  Floats are
-renderings only; the CLI makes them from lattice coordinates (m, n).
+which the gap and palindrome readings work on.  The walk jumps by return
+words of the window's interval exchange.  Floats are renderings only;
+the CLI makes them from lattice coordinates (m, n).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, total_ordering
+from functools import cached_property, reduce, total_ordering
 
 from .words import _manacher
 
@@ -336,26 +332,22 @@ def _row_points(lattice, lo, hi, x_lo, x_hi):
     """
     d = lattice.d
     omega = lattice.omega()
-    omega_star = lattice.omega_star()
-    spread = omega - omega_star
+    spread = omega - lattice.omega_star()
     n_lo = ((x_lo - hi) / spread).ceil()
     n_hi = ((x_hi - lo) / spread).floor()
     parts = (x_lo, x_hi, omega.p, omega.q, lo.p, lo.q, hi.p, hi.q)
     scale = math.lcm(*(f.denominator for f in parts))
-    xlo_i, xhi_i = int(x_lo * scale), int(x_hi * scale)
-    wp_i, wq_i = int(omega.p * scale), int(omega.q * scale)
-    sp_i, sq_i = int(omega_star.p * scale), int(omega_star.q * scale)
-    lop_i, loq_i = int(lo.p * scale), int(lo.q * scale)
-    hip_i, hiq_i = int(hi.p * scale), int(hi.q * scale)
+    # Over the scale, omega = wp + wq*sqrt(d) and omega~ = wp - wq*sqrt(d).
+    xlo_i, xhi_i, wp_i, wq_i, lop_i, loq_i, hip_i, hiq_i = (int(f * scale) for f in parts)
     out = []
     for n in range(n_lo, n_hi + 1):
         m_start = max(
             -_floor_scaled(n * wp_i - xlo_i, n * wq_i, scale, d),
-            -_floor_scaled(n * sp_i - lop_i, n * sq_i - loq_i, scale, d),
+            -_floor_scaled(n * wp_i - lop_i, -n * wq_i - loq_i, scale, d),
         )
         m_end = min(
             _floor_scaled(xhi_i - n * wp_i, -n * wq_i, scale, d),
-            _floor_scaled(hip_i - n * sp_i, hiq_i - n * sq_i, scale, d),
+            _floor_scaled(hip_i - n * wp_i, hiq_i + n * wq_i, scale, d),
         )
         out.extend((m, n) for m in range(m_start, m_end + 1))
     return out
@@ -366,12 +358,6 @@ def _row_points(lattice, lo, hi, x_lo, x_hi):
 # CPython 3.11; the largest patch the tests build has about 120000 points.
 MAX_PATCH_POINTS = 250_000
 
-# Steps in one block of the walk.  The block table holds at most one block
-# per distinct BLOCK-letter factor of the gap word, and an interval
-# window's gap word codes a rotation or a three-interval exchange, which
-# has at most 2n + 1 factors of length n: at most 65 blocks.
-BLOCK = 32
-
 
 def expected_count(lattice, window, radius):
     """2R|W| / |omega - omega*|, exactly: |omega - omega*| is the lattice's
@@ -380,18 +366,9 @@ def expected_count(lattice, window, radius):
     return (window.hi - window.lo) * (2 * Fraction(radius)) / (lattice.omega() - lattice.omega_star())
 
 
-def _coordinate_bounds(lattice, window, radius):
-    """(M, N) with |m| < M and |n| < N for every point m + n*omega of the
-    patch within radius R: a point z has |z| <= R and |z*| <= |lo| + |hi|,
-    so |n| = |z - z*| / (omega - omega*) and |m| = |z - n*omega|."""
-    omega = lattice.omega()
-    n_max = ((radius + abs(window.lo) + abs(window.hi)) / (omega - lattice.omega_star())).floor() + 1
-    return (radius + abs(omega) * n_max).floor() + 1, n_max
-
-
 def _gaps(lattice, window, bound):
     """The steps of the window's interval exchange in increasing order, and
-    whether their claims cover the window.
+    their domains once the steps' claims cover the window.
 
     A step x -> x + g needs x* + g* in W, so |g*| <= |W|, and g claims
     W n (W - g*): [lo, hi - g*] if g* > 0, else [lo - g*, hi].  The g in
@@ -400,39 +377,93 @@ def _gaps(lattice, window, bound):
     the two ends meet; any other g claims only what a kept step claimed
     first, so x's step is the first kept step whose claim holds x*.  B
     starts at twice the mean gap |omega - omega*| / |W| and doubles until
-    the claims meet or B reaches ``bound``.  A scan reads min(B, bound) /
-    |omega - omega*| rows, refused with ValueError past MAX_PATCH_POINTS.
+    the claims meet or B reaches ``bound``.  A scan reads (min(B, bound) +
+    2|W|) / |omega - omega*| rows, refused with ValueError past
+    MAX_PATCH_POINTS.  A kept step's domain is its claim less the earlier
+    claims of both ends; ``domains`` lists the nonempty ones from lo to hi
+    as (step index, length), the lo-end steps as kept and then the hi-end
+    steps reversed, or is None when the claims do not meet.
     """
     width = window.hi - window.lo
     omega_star = lattice.omega_star()
     spread = lattice.omega() - omega_star
     B = (2 * spread / width).ceil()
     # The claims from lo cover [lo, hi - reach[0]], those from hi [lo + reach[1], hi];
-    # a reach of |W| claims one end alone, which holds no x* in a generic window.
-    empty = width + 1 if check_generic(window, lattice) else width
+    # a claim of one end alone (s = |W|) holds an x* only in a window that is not generic.
+    nongeneric = bool(check_generic(window, lattice))
     while True:
         span = min(B, bound)
-        if MAX_PATCH_POINTS * spread < span:
+        if MAX_PATCH_POINTS * spread < span + 2 * width:
             raise ValueError(
                 f"the gap scan over (0, {span}] reads more than MAX_PATCH_POINTS = "
-                f"{MAX_PATCH_POINTS} rows: the window is too narrow for this radius"
+                f"{MAX_PATCH_POINTS} rows: the window is too narrow for this radius, or too wide"
             )
         cands = _row_points(lattice, -width, width, Fraction(0), span)
         cands.remove((0, 0))
         cands.sort(key=lambda mn: lattice.point(*mn))
-        steps, reach = [], [empty, empty]
+        steps, reach, domains = [], [width, width], ([], [])
         for m, n in cands:
             s = omega_star * n + m
             end = s.sign() < 0
             s = -s if end else s
-            if s < reach[end]:
+            if s < reach[end] or s == reach[end] == width and nongeneric:
+                domains[end].append((len(steps), min(reach[end] - s, reach[0] + reach[1] - width)))
                 reach[end] = s
                 steps.append((m, n))
                 if reach[0] + reach[1] <= width:
-                    return steps, True
+                    return steps, [(i, ln) for i, ln in domains[0] + domains[1][::-1] if ln != 0]
         if bound <= span:
-            return steps, False
+            return steps, None
         B *= 2
+
+
+def _rauzy(letters, d, short):
+    """Levels of Rauzy-Veech induction (Viana, *Rev. Mat. Complut.* 19,
+    2006) on an exchange whose bottom order reverses the top, one per run
+    of steps with one winner, while ``short`` holds for every word's move.
+    ``letters`` gives each domain from lo as [(a, b), word, (dm, dn)]: its
+    length (a + b*sqrt(d)) / S and the steps that return its points; a
+    level lists (a, b, word, (dm, dn)), (a, b) its right end less lo.  A
+    step compares the last top and bottom domains: the loser's word and
+    move absorb the winner's, the winner's length drops by the loser's,
+    and the loser moves to just after the winner in its own row.  A winner
+    left with length 0 (a connection) drops out.
+    """
+    top = list(range(len(letters)))
+    bot = top[::-1]
+
+    def plus(u, v, c=1):
+        return (u[0] + c * v[0], u[1] + c * v[1])
+
+    def exceeds(u, v):
+        return u != v and _floor_scaled(*plus(u, v, -1), 1, d) >= 0
+
+    while True:
+        cuts = itertools.accumulate((letters[i][0] for i in top), plus)
+        yield [(*cut, *letters[i][1:]) for cut, i in zip(cuts, top)]
+        ahead = exceeds(letters[bot[-1]][0], letters[top[-1]][0])  # the bottom domain wins
+        winner, row = (bot[-1], top) if ahead else (top[-1], bot)
+        # A cycle in which each letter after the winner in the row loses once
+        # restores the row: ceil(w / t) - 1 cycles go at once, w / t = w * t~ / (t * t~).
+        losers = row[row.index(winner) + 1 :]
+        (a, b), (p, q) = letters[winner][0], reduce(plus, (letters[i][0] for i in losers))
+        norm = p * p - d * q * q
+        s = 1 if norm > 0 else -1
+        cycles = -_floor_scaled(s * (b * q * d - a * p), s * (a * q - b * p), s * norm, d) - 1
+        letters[winner][0], copies = plus((a, b), (p, q), -cycles), Counter({i: cycles for i in losers})
+        while not exceeds(letters[row[-1]][0], letters[winner][0]):
+            letters[winner][0] = plus(letters[winner][0], letters[row[-1]][0], -1)
+            copies[row[-1]] += 1
+            row.insert(row.index(winner) + 1, row.pop())
+        size, other, moved = letters[winner]
+        for loser, c in copies.items():
+            _, word, move = letters[loser]
+            if not short(move := plus(move, moved, c)):
+                return
+            letters[loser][1:] = (other * c + word if ahead else word + other * c), move
+        if size == (0, 0):
+            top.remove(winner)
+            bot.remove(winner)
 
 
 def enumerate_patch(lattice, window, radius):
@@ -442,26 +473,16 @@ def enumerate_patch(lattice, window, radius):
     ``MAX_PATCH_POINTS`` is refused with ValueError, as is a window whose
     gap scan ``_gaps`` reads more rows than that.
 
-    The walk starts at the least point, found in a strip at -R as wide as
-    the longest step (the whole patch if the steps' claims do not cover
-    W), and steps from x by the first step g of ``_gaps`` with x* + g* in
-    W until a step passes R.  A point m + n*omega is z* + n*(omega -
-    omega*) with z* <= hi, so it is within R if its row n is at most
-    n_safe = floor((R - hi) / (omega - omega*)); only higher rows take an
-    exact test.  The walk reads a + b*sqrt(d) as the integer a*2**K +
-    b*floor(sqrt(d)*2**K), linear and within |b| of the true value times
-    2**K, so each step takes the readings of one constant integer
-    interval: x* + g* in W and x* outside the earlier steps' claims, each
-    by more than that error.  Exact sign tests, trying the steps in order,
-    decide a reading outside every interval.
-
-    BLOCK steps in a row decided by their intervals are decided the same
-    way from every reading in the intersection of those intervals, shifted
-    back by the block's partial sums.  The walk stores the block under
-    that interval and takes it in one jump from a later reading inside it
-    when the block ends in a row at most n_safe, so every point it passes
-    is a patch point.  Only the first point and the gap word are kept;
-    ``ModelSetPatch.coords`` builds the points on demand.
+    The walk starts at the least point, in a strip at -R as wide as the
+    longest step (all of [-R, R] if the claims do not cover W).  From y =
+    x* it climbs ``_rauzy``'s levels while y lies in the next level's
+    interval, and takes y's return word there in one jump if it ends in a
+    row at most n_safe = floor((R - hi) / (omega - omega*)), so within R;
+    else it descends, and climbs no more.  The half-open domains and the
+    closed W differ only at an edge point e (e* = lo or hi) and at e - g
+    for steps g, so no jump from x <= e ends past e less the longest step;
+    past e the walk climbs again.  At level 0 it takes the first step g
+    with x* + g* in W, tested against R above n_safe, until one passes R.
     """
     R = Fraction(radius)
     if R <= 0:
@@ -475,8 +496,8 @@ def enumerate_patch(lattice, window, radius):
             f"radius R = {R} expects more than {MAX_PATCH_POINTS} points "
             f"(2R|W|/|omega - omega*|), the patch cap MAX_PATCH_POINTS"
         )
-    gaps, met = _gaps(lattice, window, 2 * R)
-    strip = lattice.point(*gaps[-1]).ceil() if met else 2 * R
+    gaps, domains = _gaps(lattice, window, 2 * R)
+    strip = lattice.point(*gaps[-1]).ceil() if domains else 2 * R
     rows = _row_points(lattice, lo, hi, -R, min(-R + strip, R))
     if not rows:
         return ModelSetPatch(lattice, window, R, None, (), b"")
@@ -493,82 +514,57 @@ def enumerate_patch(lattice, window, radius):
         a, b = scale * m + n * sp, n * sq
         return _floor_scaled(a - la, b - lb, 1, d) >= 0 and _floor_scaled(ha - a, hb - b, 1, d) >= 0
 
-    # Every patch point has |n*sq| <= ub_max, so a step x + g read against
-    # an edge has |b| <= ub_max + |gn*sq| + max(|lb|, |hb|): the band.
-    ub_max = _coordinate_bounds(lattice, window, R)[1] * abs(sq)
-    edge = max(abs(lb), abs(hb))
-    K = max(ub_max, edge).bit_length() + 24
-    root = math.isqrt(d << 2 * K)
-    per_m, per_n = scale << K, (sp << K) + sq * root
-    low, high = (la << K) + lb * root, (ha << K) + hb * root
-    band = ub_max + max((abs(gn) for _, gn in gaps), default=0) * abs(sq) + edge + 1
-    # Each interval lies past the earlier steps' claims from lo and short of those from hi.
-    table, past_lo, past_hi = [], math.inf, -math.inf
-    for i, (gm, gn) in enumerate(gaps):
-        g = gm * per_m + gn * per_n
-        table.append((i, gm, gn, g, max(low + band - g + 1, past_hi), min(high - band - g - 1, past_lo)))
-        if (omega_star * gn + gm).sign() > 0:
-            past_hi = max(past_hi, high + band - g + 1)
-        else:
-            past_lo = min(past_lo, low - band - g - 1)
+    def below(cut):  # y < lo + cut
+        return _floor_scaled(ya - cut[0], yb - cut[1], 1, d) < 0
 
-    # Rows up to n_safe are within R; above it, m + n*omega <= R iff
-    # (R - m - n*wp) * rs - n*wq*rs*sqrt(d) >= 0.
+    # Rows up to n_safe are within R; m + n*omega <= a / rs iff
+    # (a - rs*m - n*wp) - n*wq*sqrt(d) >= 0.
     omega = lattice.omega()
     n_safe = ((-hi + R) / (omega - omega_star)).floor()
     rs = math.lcm(R.denominator, omega.p.denominator, omega.q.denominator)
     ra, wp, wq = int(R * rs), int(omega.p * rs), int(omega.q * rs)
 
-    def within(m, n):
-        return _floor_scaled(ra - rs * m - n * wp, -n * wq, 1, d) >= 0
+    def at_most(m, n, a=0):
+        return _floor_scaled(a - rs * m - n * wp, -n * wq, 1, d) >= 0
 
+    levels, fences = [], {}
+    if domains:
+        exchange = [[(int(ln.p * scale), int(ln.q * scale)), bytes([i]), gaps[i]] for i, ln in domains]
+        # No jump from x >= -R that moves x by more than 2R ends within R.
+        levels = list(_rauzy(exchange, d, lambda move: at_most(*move, 2 * ra)))
+        # Each edge point at or after the first point, and how far a jump may end.
+        edges = (lattice.star_coords(e) for e in check_generic(window, lattice))
+        ahead = (e for e in edges if not lattice.point(*e) < lattice.point(*first))
+        fences = {e: (e[0] - gaps[-1][0], e[1] - gaps[-1][1]) for e in ahead}
     m, n = first
-    u = m * per_m + n * per_n
-    # The block table: starts[k] <= u <= end takes blocks[k] = (end, word,
-    # dm, dn, du) in one jump.  The run of steps since steps[run_at], from
-    # (um, m0, n0), is decided for every reading in [run_lo, run_hi].
-    steps, starts, blocks, run_at = [], [], [], 0
+    steps, k, climb = bytearray(), 0, True
     while True:
-        if len(steps) == run_at:
-            k = bisect_right(starts, u) - 1
-            if k >= 0 and u <= blocks[k][0] and n + blocks[k][3] <= n_safe:
-                _, word, dm, dn, du = blocks[k]
-                steps += word
-                m, n, u = m + dm, n + dn, u + du
-                run_at = len(steps)
-                continue
-            um, m0, n0, run_lo, run_hi = u, m, n, -math.inf, math.inf
-        for i, gm, gn, g, a, b in table:
-            if a <= u <= b:
+        ya, yb = scale * m + n * sp - la, n * sq - lb
+        while climb and k + 1 < len(levels) and below(levels[k + 1][-1]):
+            k += 1
+        while k:
+            word, (dm, dn) = next((e for e in levels[k][:-1] if below(e)), levels[k][-1])[2:]
+            if n + dn <= n_safe and all(at_most(m + dm - p, n + dn - q) for p, q in fences.values()):
                 break
+            climb, k = False, k - 1
         else:
-            for i, gm, gn, g, a, b in table:
-                if fits(m + gm, n + gn):
+            for i, (dm, dn) in enumerate(gaps):
+                if fits(m + dm, n + dn):
                     break
             else:
                 # Claims that cover W leave no x* unclaimed; else x's next point is over 2R on.
-                if met:
+                if domains:
                     raise RuntimeError(f"no step of the window's interval exchange fits at {(m, n)}")
                 break
-            run_at = len(steps) + 1  # so no stored block needs an exact test
-        if n + gn > n_safe and not within(m + gm, n + gn):
-            break
-        if a - u + um > run_lo:
-            run_lo = a - u + um
-        if b - u + um < run_hi:
-            run_hi = b - u + um
-        m, n, u = m + gm, n + gn, u + g
-        steps.append(i)
-        if len(steps) - run_at == BLOCK:
-            k = bisect_right(starts, run_lo)
-            starts.insert(k, run_lo)
-            blocks.insert(k, (run_hi, tuple(steps[run_at:]), m - m0, n - n0, u - um))
-            run_at = len(steps)
-    used = sorted(set(steps))
-    rank = dict(zip(used, range(len(used))))
-    gap_coords = tuple(gaps[i] for i in used)
-    letters = bytes(map(rank.__getitem__, steps))
-    return ModelSetPatch(lattice, window, R, first, gap_coords, letters)
+            if n + dn > n_safe and not at_most(m + dm, n + dn, ra):
+                break
+            climb |= fences.pop((m, n), None) is not None
+            word = bytes([i])
+        steps += word
+        m, n = m + dm, n + dn
+    used = [i for i in range(len(gaps)) if i in steps]
+    letters = bytes(steps.translate(bytes(used.index(i) if i in used else 0 for i in range(256))))
+    return ModelSetPatch(lattice, window, R, first, tuple(gaps[i] for i in used), letters)
 
 
 def inversion_witness(window, lattice):

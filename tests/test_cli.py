@@ -918,6 +918,23 @@ def test_modelset_sparse_window_within_the_scan_cap_is_served(files):
     assert points == sorted(rows, key=lambda mn: field.point(*mn))
 
 
+@pytest.mark.parametrize("width, code", [(10**8, 2), (10**5, 0)])
+def test_modelset_wide_window_at_a_tiny_radius_is_refused_before_its_scans(files, width, code):
+    # [0, W] golden at R = 1/W holds about one point, but the gap scan reads
+    # (span + 2W) / sqrt(5) rows, not span / sqrt(5): W = 10**6 took 4.8 s,
+    # 10**7 45 s, and 10**8 still ran after 60 s.  Counting those rows
+    # refuses W = 10**8 at once and still serves W = 10**5.
+    spec = files("wide.json", dict(FIB_SPEC, window={"lo": "0", "hi": str(width)}))
+    argv = ["modelset", "--spec", spec, "--action", "symmetry", "-R", f"1/{width}"]
+    proc = run_python("-m", "aperiodica.cli", *argv, timeout=20)
+    assert proc.returncode == code, proc.stderr
+    if code == 2:
+        assert proc.stderr.startswith("error: the gap scan over (0, ")
+        assert "rows: the window is too narrow for this radius, or too wide" in proc.stderr
+    else:
+        assert json.loads(proc.stdout)["count"] == 1
+
+
 @pytest.mark.parametrize(
     "radius, lo", [("1e99999999", "1/3"), ("1e-99999999", "1/3"), ("20", "1e99999999"), ("1e5000", "1/3")]
 )

@@ -1,4 +1,3 @@
-import bisect
 import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
@@ -463,34 +462,72 @@ def assert_claims_cover(lattice, window, steps):
     assert reach == window.hi
 
 
+def assert_domains_tile(lattice, window, steps, domains):
+    """The domains, read from lo, tile W exactly, and each moved by its
+    step's star tiles W again in the reverse order: the exchange's bottom
+    order reverses its top order."""
+    cuts = [window.lo]
+    for _, length in domains:
+        assert length > 0
+        cuts.append(cuts[-1] + length)
+    assert cuts[-1] == window.hi
+    image = window.lo
+    for j in reversed(range(len(domains))):
+        assert cuts[j] + star(lattice.point(*steps[domains[j][0]])) == image
+        image += domains[j][1]
+    assert image == window.hi
+
+
 def test_gap_scan_gives_the_interval_exchange():
     windows = acceptance_windows() + scan_windows(120)
     assert len([w for f, w in windows if check_generic(w, f)]) == 40
     for field, window in windows:
-        steps, met = modelset._gaps(field, window, Fraction(120000))
-        assert met and 2 <= len(steps) <= 3
+        steps, domains = modelset._gaps(field, window, Fraction(120000))
+        assert domains and 2 <= len(steps) <= 3
         assert sorted(steps, key=lambda mn: field.point(*mn)) == steps
         assert_claims_cover(field, window, steps)
+        assert_domains_tile(field, window, steps, domains)
         assert enumerate_patch(field, window, 60000).gap_coords == tuple(steps)
         for radius in (3, 50, 3000):
             assert_walk_matches_oracle(field, window, radius)
 
 
-def counting_walk(monkeypatch):
-    """Record the block table's size at each of the walk's bisections (a
-    lookup or an insertion)."""
-    sizes = []
+def test_domain_shares_are_the_letter_frequencies():
+    # Each domain's share of |W| is its gap's frequency: in the R = 60000
+    # patch of each acceptance window every gap occurs within 3 of its
+    # share times the number of gaps (at most 1.0 off, measured).
+    for field, window in acceptance_windows():
+        steps, domains = modelset._gaps(field, window, Fraction(120000))
+        width = window.hi - window.lo
+        assert sum((length for _, length in domains), field.element(0)) == width
+        patch = enumerate_patch(field, window, 60000)
+        for i, length in domains:
+            count = patch.letters.count(patch.gap_coords.index(steps[i]))
+            assert abs(count - float(length / width) * len(patch.letters)) < 3
 
-    def bisect_right(a, x):
-        sizes.append(len(a))
-        return bisect.bisect_right(a, x)
 
-    monkeypatch.setattr(modelset, "bisect_right", bisect_right)
-    return sizes
+def counting_floors(monkeypatch):
+    """Count the exact floors ``_floor_scaled`` takes: a walk that steps at
+    level 0 takes at least two a point, one that jumps far fewer."""
+    calls = [0]
+    floor = modelset._floor_scaled
+
+    def counted(*args):
+        calls[0] += 1
+        return floor(*args)
+
+    monkeypatch.setattr(modelset, "_floor_scaled", counted)
+    return calls
 
 
-def test_block_walk_matches_row_enumeration(monkeypatch):
-    sizes = counting_walk(monkeypatch)
+def walked_with_count(calls, lattice, window, radius):
+    calls[0] = 0
+    walked = enumerate_patch(lattice, window, radius)
+    return walked, calls[0]
+
+
+def test_tower_walk_matches_row_enumeration(monkeypatch):
+    calls = counting_floors(monkeypatch)
     sqrt2, sqrt13 = QuadField(2), QuadField(13)
     for lattice, lo, hi, gaps in (
         (LAT, LAT.element(Fraction(1, 3)), LAT.element(Fraction(4, 3)), 2),
@@ -499,21 +536,18 @@ def test_block_walk_matches_row_enumeration(monkeypatch):
         (sqrt2, sqrt2.element(Fraction(1, 5)), sqrt2.element(Fraction(8, 5)), 3),
         (sqrt13, sqrt13.element(Fraction(-2, 3), Fraction(1, 4)), sqrt13.element(Fraction(1, 2), Fraction(1, 4)), 3),
     ):
-        sizes.clear()
-        walked = assert_walk_matches_oracle(lattice, Window(lo, hi), 3000)
-        assert len(walked) > 25 * modelset.BLOCK and len(walked.gap_coords) == gaps
-        # Most blocks are taken in one jump: far fewer lookups than steps,
-        # and the table never holds more than one block per factor.
-        assert len(sizes) < len(walked) / 10
-        assert max(sizes) <= 2 * modelset.BLOCK + 1
+        walked, floors = walked_with_count(calls, lattice, Window(lo, hi), 3000)
+        assert_walk_matches_oracle(lattice, Window(lo, hi), 3000)
+        assert len(walked) > 800 and len(walked.gap_coords) == gaps
+        # Most steps are taken in jumps: 117-215 exact floors, set-up
+        # included, for 971-3487 points.
+        assert floors < len(walked) / 4
 
 
-@pytest.mark.parametrize("block", [2, 32])
-def test_block_walk_decides_near_misses_and_boundary_points_exactly(monkeypatch, block):
+def test_tower_walk_decides_near_misses_and_boundary_points_exactly():
     # Edges within |psi^k| of the star image of a patch point, or on it, and
     # an edge on the star image of (0, 0): the step onto that point needs
-    # the exact test inside what would otherwise be a stored block.
-    monkeypatch.setattr(modelset, "BLOCK", block)
+    # the exact test inside what would otherwise be a jump.
     coords = enumerate_patch(LAT, fib_window(), 600).coords
     delta = GOLDEN.element(1)
     for k in range(1, 41):
@@ -529,7 +563,7 @@ def test_block_walk_decides_near_misses_and_boundary_points_exactly(monkeypatch,
     assert (0, 0) in assert_walk_matches_oracle(LAT, nongeneric, 600).coords
 
 
-def test_block_walk_on_narrow_symmetric_windows():
+def test_tower_walk_on_narrow_symmetric_windows():
     # A narrow window centred on 0 gives a model set symmetric about 0.  With
     # R the ceiling of a point's |z|, the first and last points lie within
     # 1 of -R and R, far closer than the longest step.
@@ -540,7 +574,78 @@ def test_block_walk_on_narrow_symmetric_windows():
         far = enumerate_patch(field, window, 30000).coords[-1]
         radius = field.point(*far).ceil()
         walked = assert_walk_matches_oracle(field, window, radius)
-        assert far in walked.coords and len(walked) > 5 * modelset.BLOCK
+        assert far in walked.coords and len(walked) > 160
+
+
+def nongeneric_windows(count, seed):
+    """``count`` seeded windows over d = 2, 3, 5, 7, 13 and both omega
+    styles, under 1 long, whose lo, hi or both are the star images of
+    lattice points near 0, so that the walk meets those edge points
+    mid-patch."""
+    rng = random.Random(seed)
+    out = []
+    for trial in range(count):
+        field = QuadField((2, 3, 5, 7, 13)[trial % 5], ("sqrt", OMEGA_GOLDEN)[trial // 5 % 2])
+        while True:
+            edge, other = (star(field.point(rng.randint(-5, 5), rng.randint(-5, 5))) for _ in range(2))
+            drawn = random_window(rng, field)
+            width = (drawn.hi - drawn.lo) / 4
+            lo, hi = ((edge, edge + width), (edge - width, edge), (min(edge, other), max(edge, other)))[trial % 3]
+            if lo < hi and hi - lo < 1:
+                break
+        out.append((field, Window(lo, hi)))
+    return out
+
+
+def test_tower_walk_on_windows_that_are_not_generic():
+    # An edge point e (e* = lo or hi) is where the exchange's half-open
+    # domains and the closed window disagree: no jump may pass it.
+    windows = nongeneric_windows(200, 11)
+    assert sum(len(check_generic(w, f)) == 2 for f, w in windows) > 30
+    for field, window in windows:
+        for radius in (50, 3000):
+            assert_walk_matches_oracle(field, window, radius)
+
+
+def test_tower_walk_climbs_again_past_an_edge_point(monkeypatch):
+    # [0, 1] golden puts the edge point (0, 0) mid-patch.  The walk steps
+    # past it at level 0 and then climbs again: 265 exact floors for 2684
+    # points, where staying at level 0 after (0, 0) takes over 6000.
+    calls = counting_floors(monkeypatch)
+    window = Window(GOLDEN.element(0), GOLDEN.element(1))
+    walked, floors = walked_with_count(calls, LAT, window, 3000)
+    monkeypatch.undo()
+    after = [mn for mn in walked.coords if LAT.point(*mn) > 0]
+    assert (0, 0) in walked.coords and len(after) > 1300
+    assert floors < len(after)
+    assert_walk_matches_oracle(LAT, window, 3000)
+
+
+def test_tower_meets_a_rauzy_connection(monkeypatch):
+    # A generic window as long as the star image of a lattice point meets a
+    # connection: at some level the last top and bottom domains are equal,
+    # and the exchange drops a letter (14 of these 20 windows, measured).
+    levels = []
+    rauzy = modelset._rauzy
+
+    def recorded(*args):
+        for level in rauzy(*args):
+            levels.append(len(level))
+            yield level
+
+    monkeypatch.setattr(modelset, "_rauzy", recorded)
+    rng, hits = random.Random(7), 0
+    for trial in range(20):
+        field = QuadField((2, 3, 5, 7, 13)[trial % 5], ("sqrt", OMEGA_GOLDEN)[trial // 5 % 2])
+        lo = random_window(rng, field).lo
+        window = Window(lo, lo + abs(star(field.point(rng.randint(1, 4), rng.randint(-3, 3)))))
+        assert not check_generic(window, field)
+        levels.clear()
+        enumerate_patch(field, window, 1000)
+        if min(levels) < levels[0]:
+            hits += 1
+            assert_walk_matches_oracle(field, window, 1000)
+    assert hits >= 10
 
 
 def test_patch_cap_follows_the_expected_point_count(monkeypatch):
