@@ -1,3 +1,4 @@
+import itertools
 import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
@@ -544,10 +545,15 @@ def test_tower_walk_matches_row_enumeration(monkeypatch):
         assert floors < len(walked) / 4
 
 
-def test_tower_walk_decides_near_misses_and_boundary_points_exactly():
+@pytest.mark.parametrize("depth", [2, 32])
+def test_block_walk_decides_near_misses_and_boundary_points_exactly(monkeypatch, depth):
     # Edges within |psi^k| of the star image of a patch point, or on it, and
     # an edge on the star image of (0, 0): the step onto that point needs
-    # the exact test inside what would otherwise be a jump.
+    # the exact test inside what would otherwise be a jump.  The tower is cut
+    # to its first ``depth`` levels: 2 leaves only one-block jumps, 32 is more
+    # than these windows' towers have.
+    rauzy = modelset._rauzy
+    monkeypatch.setattr(modelset, "_rauzy", lambda *args: itertools.islice(rauzy(*args), depth))
     coords = enumerate_patch(LAT, fib_window(), 600).coords
     delta = GOLDEN.element(1)
     for k in range(1, 41):
