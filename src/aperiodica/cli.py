@@ -476,44 +476,45 @@ _COMMANDS = (
     ("modelset", "cut-and-project pipelines", _modelset_arguments),
     ("spectrum", "finite-section eigenvalues and IDS", _spectrum_arguments),
 )
-_COMMAND_CHOICES = "{" + ",".join(name for name, _, _ in _COMMANDS) + "}"
 
 
-def build_parser(command=None):
-    """The command line parser; with ``command`` one of the subcommand
-    names, only that subcommand's parser is built.
-
-    A run parses a single subcommand, and building the other four cost
-    more than an ``exclude`` verdict (every ``add_argument`` makes a help
-    formatter, which asks for the terminal size).  The subparsers'
-    metavar keeps the full command list in the usage line that top-level
-    errors print.  For any other ``command`` (None, ``-h``, an unknown
-    word) every subcommand is built and the metavar is left unset, since
-    argparse also puts it where "argument command: invalid choice" and
-    "required: command" name the argument.
-    """
+def build_parser():
+    """The command line parser, with every subcommand."""
     parser = argparse.ArgumentParser(
         prog="aperiodica",
         description="Factor atlases, palindrome exclusion, Rudin-Shapiro tables, "
         "cut-and-project model sets and finite tight-binding probes.",
     )
-    entries = [entry for entry in _COMMANDS if entry[0] == command]
-    if entries:
-        sub = parser.add_subparsers(dest="command", required=True, metavar=_COMMAND_CHOICES)
-    else:
-        sub = parser.add_subparsers(dest="command", required=True)
-        entries = _COMMANDS
-    for name, help_text, add_arguments in entries:
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, add_arguments in _COMMANDS:
         command_parser = sub.add_parser(name, help=help_text)
         add_arguments(command_parser)
         command_parser.add_argument("-o", "--output")
     return parser
 
 
+def _parse(argv):
+    """The parsed arguments of one run.  A known subcommand is parsed by
+    a parser of its own, which prints its subparser's help, usage and
+    errors at a fraction of the full parser's cost (each ``add_argument``
+    asks for the terminal size); with none, or with arguments left over,
+    the full parser parses ``argv``, so its usage heads top-level errors.
+    """
+    for name, _, add_arguments in _COMMANDS:
+        if argv and argv[0] == name:
+            parser = argparse.ArgumentParser(prog=f"aperiodica {name}")
+            add_arguments(parser)
+            parser.add_argument("-o", "--output")
+            args, rest = parser.parse_known_args(argv[1:])
+            if not rest:
+                return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _parse(argv)
     try:
         return args.func(args)
     except substitution.NotPrimitiveError as exc:

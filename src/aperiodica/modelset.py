@@ -16,6 +16,7 @@ the CLI makes them from lattice coordinates (m, n).
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from collections import Counter
@@ -31,6 +32,9 @@ OMEGA_GOLDEN = "golden"
 
 # _is_squarefree trial-divides up to sqrt(d): about 33000 steps at this bound.
 MAX_D = 2**32
+
+# palindrome_scan ranks each parity's radii in blocks of this many by their maxima.
+_ROW_BLOCK = 64
 
 
 def _is_squarefree(d):
@@ -588,27 +592,38 @@ def palindrome_scan(word, top=None):
     are reported doubled so half-integers stay exact.  Results are sorted
     by length descending, then by center.  ``top`` keeps the first ``top``
     rows: a row among them is at least as long as the top-th row of its
-    parity, so each parity's radius histogram finds that length, and only
-    rows at least that long are built before its radii are dropped.
-    ``_manacher`` gives the textbook scan's radii, copying mirrored ones
-    in bulk.
+    parity.  Each parity's radii are cut into blocks of ``_ROW_BLOCK``;
+    the top-th largest block maximum is at most the top-th largest radius,
+    since that many blocks each hold a radius at least as large, so only
+    the blocks whose maximum reaches it are read.  Their radius histogram
+    finds the top-th radius, and only rows at least that long are built
+    before the parity's radii are dropped.  ``_manacher`` gives the
+    textbook scan's radii, copying mirrored ones in bulk.
     """
     if top is not None and top < 0:
         raise ValueError(f"top must be non-negative, got {top}")
     out = []
     for even in (0, 1):
-        # Radius r at i is a row of length 2r - 1 centred at 2i when odd,
-        # and of length 2r centred at 2i - 1 when even and r > 0.
         d = _manacher(word, even)
+        rows, radii = enumerate(d), d
+        starts = range(0, len(d), _ROW_BLOCK)
+        if top is not None and 0 < top <= len(starts):
+            maxima = [max(d[s : s + _ROW_BLOCK]) for s in starts]
+            bound = heapq.nlargest(top, maxima)[-1]
+            picked = [s for s, m in zip(starts, maxima) if m >= bound]
+            rows = [(i, r) for s in picked for i, r in enumerate(d[s : s + _ROW_BLOCK], s) if r >= bound]
+            radii = [r for _, r in rows]
         r_min = 1
         if top is not None:
-            counts, kept = Counter(d), 0
+            counts, kept = Counter(radii), 0
             for r_min in sorted(counts, reverse=True):
                 kept += counts[r_min]
                 if kept >= top:
                     break
         r_min = max(r_min, 1)
-        out += [(2 * i - even, 2 * r - 1 + even) for i, r in enumerate(d) if r >= r_min]
-        del d
+        # Radius r at i is a row of length 2r - 1 centred at 2i when odd,
+        # and of length 2r centred at 2i - 1 when even and r > 0.
+        out += [(2 * i - even, 2 * r - 1 + even) for i, r in rows if r >= r_min]
+        del d, rows, radii
     out.sort(key=lambda t: (-t[1], t[0]))
     return out[:top]

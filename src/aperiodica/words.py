@@ -16,6 +16,9 @@ from dataclasses import dataclass
 EXCLUDED = "excluded"
 UNDETERMINED = "undetermined"
 _ENDS = (object(), object())
+# _manacher copies mirrored radii in blocks of _COPY_MIN to _COPY_CAP, and
+# jumps to the next centre when it is over _SKIP_MIN positions on.
+_COPY_MIN, _COPY_CAP, _SKIP_MIN = 16, 256, 16
 
 
 @dataclass(frozen=True)
@@ -110,9 +113,15 @@ def _manacher(word, even):
     position j has the radius r of its mirror 2i - j whenever the
     mirrored palindrome ends strictly inside (r < end - j), the lemma
     behind the textbook scan; such radii are copied, the first eight one
-    at a time and the rest as reversed slices in doubling chunks.  The
-    first j whose mirror reaches the left end starts from end - j and is
-    the next centre, since its palindrome ends no sooner than i's.
+    at a time and the rest as reversed slices.  A block [j, stop) is
+    copied whole when its largest mirrored radius is at most end - stop,
+    since every end - j' in it is larger; blocks double up to ``_COPY_CAP``
+    and halve when the test fails, and only blocks of at most
+    ``_COPY_MIN`` are tested radius by radius.  The first j whose mirror
+    reaches the left end starts from end - j and is the next centre,
+    since its palindrome ends no sooner than i's.  The scan jumps there
+    when it is more than ``_SKIP_MIN`` positions on, so the Python work
+    grows with the centres expanded, not with the letters.
 
     A ``bytes`` word is scanned as bytes, with two byte values it does
     not hold as its end markers, so it is never copied into a tuple; any
@@ -126,60 +135,79 @@ def _manacher(word, even):
     # Two distinct end markers stop every expansion: word[-1] and word[n].
     free = bytes(range(256)).translate(None, word) if isinstance(word, bytes) else b""
     word, rev = (word + free[:2] if len(free) > 1 else tuple(word) + _ENDS), None
-    for i in range(n):
-        if i < nxt:
-            continue
-        lo = i - even
-        if word[lo - k] == word[i + k]:
-            cap, k = k + 8, k + 1
-            while word[lo - k] == word[i + k]:
-                k += 1
-                if k == cap:
-                    if rev is None:
-                        rev = word[-3::-1]
-                    # rev[off + t] is word[lo - t]; a slice that runs past
-                    # either end of the word differs.
-                    off, step = n - 1 - lo, 8
-                    while rev[off + k : off + k + step] == word[i + k : i + k + step]:
-                        k, step = k + step, step + step
-                    while step > 1:
-                        step //= 2
-                        if rev[off + k : off + k + step] == word[i + k : i + k + step]:
-                            k += step
-                    break
-        d[i] = k
-        if k <= 1:
-            k = base
-            continue
-        r = d[i - 1]
-        if r >= k - 1:
-            k -= 1
-            continue
-        d[i + 1] = r
-        end = i + k
-        twice = i + i
-        for j in range(i + 2, min(end, i + 9)):
-            r = d[twice - j]
-            if r >= end - j:
-                break
-            d[j] = r
-        else:
-            j, step = i + 9, 16
-            while j < end:
-                stop = min(end, j + step)
-                mirror = d[twice - stop + 1 : twice - j + 1]
-                mirror.reverse()
-                reach = map(operator.ge, mirror, range(end - j, end - stop, -1))
-                hit = next(itertools.compress(itertools.count(j), reach), stop)
-                d[j:hit] = mirror[: hit - j]
-                if hit < stop:
-                    j = hit
-                    break
-                j, step = stop, step + step
-            else:
-                nxt, k = end, base
+    # A scan from start breaks off at a centre more than _SKIP_MIN positions
+    # on, and a new scan starts there: a new range costs less than stepping
+    # through the copied positions.
+    start = 0
+    while start < n:
+        for i in range(start, n):
+            if i < nxt:
                 continue
-        nxt, k = j, end - j
+            lo = i - even
+            if word[lo - k] == word[i + k]:
+                cap, k = k + 8, k + 1
+                while word[lo - k] == word[i + k]:
+                    k += 1
+                    if k == cap:
+                        if rev is None:
+                            rev = word[-3::-1]
+                        # rev[off + t] is word[lo - t]; a slice that runs past
+                        # either end of the word differs.
+                        off, step = n - 1 - lo, 8
+                        while rev[off + k : off + k + step] == word[i + k : i + k + step]:
+                            k, step = k + step, step + step
+                        while step > 1:
+                            step //= 2
+                            if rev[off + k : off + k + step] == word[i + k : i + k + step]:
+                                k += step
+                        break
+            d[i] = k
+            if k <= 1:
+                k = base
+                continue
+            r = d[i - 1]
+            if r >= k - 1:
+                k -= 1
+                continue
+            d[i + 1] = r
+            end = i + k
+            twice = i + i
+            for j in range(i + 2, min(end, i + 9)):
+                r = d[twice - j]
+                if r >= end - j:
+                    break
+                d[j] = r
+            else:
+                j, step = i + 9, _COPY_MIN
+                while j < end:
+                    stop = min(end, j + step)
+                    mirror = d[twice - stop + 1 : twice - j + 1]
+                    mirror.reverse()
+                    if stop - j > _COPY_MIN:
+                        if max(mirror) > end - stop:
+                            step = (stop - j) // 2
+                            continue
+                    else:
+                        reach = map(operator.ge, mirror, range(end - j, end - stop, -1))
+                        hit = next(itertools.compress(itertools.count(j), reach), stop)
+                        if hit < stop:
+                            d[j:hit] = mirror[: hit - j]
+                            j = hit
+                            break
+                    d[j:stop] = mirror
+                    j, step = stop, min(step + step, _COPY_CAP)
+                else:
+                    nxt, k = end, base
+                    if end - i > _SKIP_MIN:
+                        break
+                    continue
+                if j - i > _SKIP_MIN:
+                    nxt, k = j, end - j
+                    break
+            nxt, k = j, end - j
+        else:
+            break
+        start = nxt
     return d
 
 

@@ -2,6 +2,7 @@ import itertools
 import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import cache, cmp_to_key
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,10 +23,10 @@ from aperiodica.modelset import (
     star,
 )
 from aperiodica import modelset
-from aperiodica.modelset import _row_points
+from aperiodica.modelset import _floor_scaled, _row_points
 from aperiodica.rudin_shapiro import rs_binary_prefix
 from aperiodica.substitution import fibonacci_rule
-from aperiodica.words import _manacher
+from aperiodica.words import _COPY_CAP, _manacher
 from chain_oracle import atlas_chain
 
 GOLDEN = QuadField(5, OMEGA_GOLDEN)
@@ -256,20 +257,50 @@ def test_patch_subset_monotonicity():
     assert set(small.coords) <= set(wide.coords)
 
 
+def physical_order(lattice):
+    """Sort key putting lattice points (m, n) in the order of m + n*omega,
+    each comparison decided by one exact floor of the difference."""
+    golden = lattice.omega_style == OMEGA_GOLDEN
+
+    def compare(u, v):
+        dm, dn = u[0] - v[0], u[1] - v[1]
+        # The difference, doubled for the golden omega, is a + dn*sqrt(d);
+        # for dn != 0 it is irrational, so it is positive when its floor is
+        # not negative.
+        f = _floor_scaled(2 * dm + dn if golden else dm, dn, 1, lattice.d)
+        return -1 if f < 0 else int(f > 0 or dn != 0)
+
+    return cmp_to_key(compare)
+
+
 def oracle_patch(lattice, window, radius):
     """The patch from the exact row enumeration over [-R, R], put in order
-    by exact field comparisons; its gap word comes from the consecutive
+    by exact comparisons; its gap word comes from the consecutive
     differences, whose distinct values are sorted the same way."""
     R = Fraction(radius)
     rows = _row_points(lattice, window.lo, window.hi, -R, R)
-    coords = tuple(sorted(rows, key=lambda mn: lattice.point(*mn)))
+    key = physical_order(lattice)
+    coords = tuple(sorted(rows, key=key))
     steps = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(coords, coords[1:])]
-    gap_coords = tuple(sorted(set(steps), key=lambda mn: lattice.point(*mn)))
+    gap_coords = tuple(sorted(set(steps), key=key))
     index = {mn: i for i, mn in enumerate(gap_coords)}
     first = coords[0] if coords else None
     oracle = ModelSetPatch(lattice, window, R, first, gap_coords, bytes(index[s] for s in steps))
     assert oracle.coords == coords
     return oracle
+
+
+def test_physical_order_matches_the_field_order():
+    # Shuffled points of wide windows, whose gaps can be shorter than 1,
+    # are put in the order of exact field comparisons.
+    rng = random.Random(3)
+    for lattice in (LAT, QuadField(2), QuadField(7)):
+        for _ in range(4):
+            window = random_window(rng, lattice)
+            points = _row_points(lattice, window.lo, window.hi, Fraction(-40), Fraction(40))
+            rng.shuffle(points)
+            expected = sorted(points, key=lambda mn: lattice.point(*mn))
+            assert sorted(points, key=physical_order(lattice)) == expected
 
 
 def assert_walk_matches_oracle(lattice, window, radius):
@@ -808,6 +839,19 @@ def test_inversion_witness_is_exact_on_random_windows():
         assert negated and negated == shifted
 
 
+@cache
+def bench_gap_words():
+    """The gap words of the benchmark's three window shapes at its
+    palindromes radius, R = 50000."""
+    sqrt2, a = QuadField(2), Fraction(-3, 17)
+    cases = (
+        (LAT, fib_window()),
+        (LAT, Window(GOLDEN.element(a), GOLDEN.element(a + 1))),
+        (sqrt2, Window(sqrt2.element(a), sqrt2.element(a + Fraction(7, 5)))),
+    )
+    return [enumerate_patch(lattice, window, 50000).letters for lattice, window in cases]
+
+
 def test_palindrome_scan_examples():
     ab = (0, 1, 0)
     scan = palindrome_scan(ab)
@@ -828,9 +872,14 @@ def test_palindrome_scan_top_rows():
     rng = random.Random(5)
     words = [(), (0,), (1, 1), (0, 1, 0)]
     words += [tuple(rng.randrange(k) for _ in range(rng.randint(1, 300))) for k in (1, 2, 2, 3, 4) * 12]
+    # The gap words have more blocks of radii than these tops, so only the
+    # blocks whose maximum reaches the top-th largest block maximum are read.
+    words += bench_gap_words()
     for word in words:
         rows = palindrome_scan(word)
-        for top in (0, 1, 2, 7, 100, len(rows), len(rows) + 5):
+        # A top whose last row ties with a row it cuts.
+        tie = next((t for t in range(1, len(rows)) if rows[t - 1][1] == rows[t][1]), 0)
+        for top in (0, 1, 2, 7, 99, 100, 101, tie, len(rows), len(rows) + 5):
             assert palindrome_scan(word, top=top) == rows[:top]
     assert palindrome_scan((), top=3) == []
     with pytest.raises(ValueError):
@@ -924,22 +973,25 @@ def test_manacher_scans_bytes_like_tuples(letters):
         assert _manacher(bytes(word), even) == _manacher(word, even)
 
 
-def test_manacher_on_bytes_gap_words_and_full_byte_range():
-    # The gap words of the benchmark's three window shapes at its
-    # palindromes radius, and a word holding every byte value, which
-    # leaves no byte free for the end markers.
-    sqrt2, a = QuadField(2), Fraction(-3, 17)
-    cases = (
-        (LAT, fib_window()),
-        (LAT, Window(GOLDEN.element(a), GOLDEN.element(a + 1))),
-        (sqrt2, Window(sqrt2.element(a), sqrt2.element(a + Fraction(7, 5)))),
-    )
-    words = [enumerate_patch(lattice, window, 50000).letters for lattice, window in cases]
-    words.append(bytes(range(256)) + bytes(range(255, -1, -1)) + b"\0\1\0")
-    for word in words:
+def test_manacher_on_bytes_gap_words_and_full_byte_range(monkeypatch):
+    # The gap words copy most radii in blocks: blocks of _COPY_CAP pass the
+    # maximum test and others fail it and are halved.  A word holding every
+    # byte value leaves no byte free for the end markers.
+    sizes = []
+
+    def recording_max(block):
+        sizes.append(len(block))
+        return max(block)
+
+    monkeypatch.setattr("aperiodica.words.max", recording_max, raising=False)
+    full_range = bytes(range(256)) + bytes(range(255, -1, -1)) + b"\0\1\0"
+    for word in bench_gap_words() + [full_range]:
         assert isinstance(word, bytes) and len(word) > 500
-        for even in (0, 1):
-            assert _manacher(word, even) == _manacher(tuple(word), even)
+        expected = manacher_oracle(word)
+        assert (_manacher(word, 0), _manacher(word, 1)) == expected
+        assert (_manacher(tuple(word), 0), _manacher(tuple(word), 1)) == expected
+    assert sizes.count(_COPY_CAP) > 100
+    assert (_COPY_CAP, _COPY_CAP // 2) in set(zip(sizes, sizes[1:]))
 
 
 def test_walk_from_a_moved_first_point_raises():
